@@ -111,6 +111,8 @@ def params_to_arrays(params: NetworkParams) -> dict:
 
 
 def arrays_to_params(arrays: dict) -> NetworkParams:
+    """Pack checkpoint arrays into NetworkParams; a missing key, a bad tau
+    or layer shapes that do not chain raise InvalidInputError."""
     try:
         n_layers = 0
         while f"generator.{n_layers}.weight" in arrays:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,31 +51,12 @@ from .scaffolding import (
     format_distance_report,
 )
 
-# flat config keys -> (where it lands, default). input_dim and num_classes
-# may be omitted: they are inferred from the source CSV.
-_NETWORK_KEYS = {
-    "input_dim": None,
-    "num_classes": None,
-    "generator_hidden_dims": [64],
-    "bottleneck_dim": 32,
-    "tau": 20.0,
-}
-_WEIGHT_KEYS = {"k1": 0.1, "k2": 0.05, "k3": 1.0, "lam": 0.8}
-_EXPERIMENT_KEYS = {
-    "batch_size": 48,
-    "max_iterations": 1000,
-    "strong_refresh_period": 200,
-    "schedule_a": 10.0,
-    "schedule_b": 0.75,
-    "eta0_head": 0.01,
-    "eta0_generator": 0.001,
-    "seed": 0,
-    "num_runs": 3,
-    "source_iterations": None,
-    "source_eval_period": 50,
-    "accuracy_eval_period": 100,
-    "pseudo_pool_cap": 16,
-}
+# flat config keys: the fields of NetworkConfig and LossWeights and the
+# scalar fields of ExperimentConfig. input_dim and num_classes may be
+# omitted: they are inferred from the source CSV.
+_NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig)}
+_WEIGHT_KEYS = {f.name: f for f in fields(LossWeights)}
+_EXPERIMENT_KEYS = {f.name: f for f in fields(ExperimentConfig) if f.name not in ("network", "weights")}
 KNOWN_CONFIG_KEYS = {**_NETWORK_KEYS, **_WEIGHT_KEYS, **_EXPERIMENT_KEYS}
 
 _SPEC_KEYS = {"num_classes", "input_dim", "samples_per_class", "seed", "transforms"}
@@ -106,22 +88,18 @@ def experiment_config_from_dict(cfg: dict, input_dim: int, num_classes: int) -> 
     for key, resolved in (("input_dim", input_dim), ("num_classes", num_classes)):
         if cfg.get(key) is not None and cfg[key] != resolved:
             raise ConfigError(f"config {key}={cfg[key]} conflicts with data ({resolved})")
-    network = NetworkConfig(
-        input_dim=input_dim,
-        num_classes=num_classes,
-        generator_hidden_dims=tuple(cfg.get("generator_hidden_dims", _NETWORK_KEYS["generator_hidden_dims"])),
-        bottleneck_dim=cfg.get("bottleneck_dim", _NETWORK_KEYS["bottleneck_dim"]),
-        tau=cfg.get("tau", _NETWORK_KEYS["tau"]),
-    )
-    weights = LossWeights(**{k: cfg.get(k, d) for k, d in _WEIGHT_KEYS.items()})
-    fields = {k: cfg.get(k, d) for k, d in _EXPERIMENT_KEYS.items()}
-    return ExperimentConfig(network=network, weights=weights, **fields)
+
+    def given(keys) -> dict:
+        return {k: cfg[k] for k in keys if k in cfg}
+
+    network = NetworkConfig(**{**given(_NETWORK_KEYS), "input_dim": input_dim, "num_classes": num_classes})
+    return ExperimentConfig(network=network, weights=LossWeights(**given(_WEIGHT_KEYS)), **given(_EXPERIMENT_KEYS))
 
 
 def _config_epilog() -> str:
     lines = ["config file keys (flat JSON object; all optional):"]
-    for key, default in KNOWN_CONFIG_KEYS.items():
-        note = "inferred from data" if default is None and key in _NETWORK_KEYS else json.dumps(default)
+    for key, f in KNOWN_CONFIG_KEYS.items():
+        note = "inferred from data" if f.default is MISSING else json.dumps(f.default)
         lines.append(f"  {key} (default: {note})")
     return "\n".join(lines)
 

@@ -2,14 +2,14 @@
 
 Each loss returns its scalar value together with the gradient with respect
 to the logits it was computed from, ready to hand to network.backward. The
-adversarial logit loss is the only one that sets the gradient-reversal
-flag: the classifier minimizes it while the feature path maximizes it.
+trainer back-propagates the adversarial logit loss, and only that loss,
+through gradient reversal: the classifier minimizes it while the feature
+path maximizes it.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,6 @@ PROB_FLOOR = 1e-12
 class LossOutput:
     value: float
     grad_wrt_logits: Array  # (n, k)
-    reverse_below_classifier: bool = False
 
 
 @dataclass
@@ -103,7 +102,7 @@ def info_max_loss(probs) -> LossOutput:
 
 
 def adversarial_logit_loss(logits, probs, lam: float) -> LossOutput:
-    """Mean max logit over confidently predicted samples; reversal flag on.
+    """Mean max logit over confidently predicted samples.
 
     A sample contributes its largest logit iff its largest probability
     exceeds lam; other samples contribute 0. The gate is a constant during
@@ -121,7 +120,7 @@ def adversarial_logit_loss(logits, probs, lam: float) -> LossOutput:
     value = float(np.sum(l[np.arange(n), top] * gate) / n)
     grad = np.zeros_like(l)
     grad[np.arange(n)[gate], top[gate]] = 1.0 / n
-    return LossOutput(value, grad, reverse_below_classifier=True)
+    return LossOutput(value, grad)
 
 
 def strong_weak_loss(probs, pseudo_labels) -> LossOutput:
@@ -141,13 +140,3 @@ def strong_weak_loss(probs, pseudo_labels) -> LossOutput:
     grad = (-1.0 / n) * p_true[:, None] * (onehot - p)
     return LossOutput(value, grad)
 
-
-def target_composite(im: LossOutput, all_: LossOutput, sw: LossOutput, w: LossWeights) -> float:
-    """Weighted objective value for reporting; gradients are applied
-    per-component because only the adversarial term carries the reversal flag."""
-    return w.k1 * im.value + w.k2 * all_.value + w.k3 * sw.value
-
-
-def info_max_lower_bound(num_classes: int) -> float:
-    """Attainable minimum of info_max_loss for k classes."""
-    return -math.log(num_classes)

@@ -44,17 +44,6 @@ def softmax(logits) -> Array:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def l2_normalize(v, tau: float) -> Array:
-    """Scale ``v`` to Euclidean norm ``tau`` (constant-norm feature scaling)."""
-    x = as_float_array(v, ndim=1)
-    if tau <= 0.0:
-        raise InvalidInputError("tau must be positive")
-    norm = math.sqrt(math.fsum(x * x))
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return (tau / norm) * x
-
-
 def exact_norm(v: Array) -> float:
     """Euclidean norm via exactly rounded summation."""
     return math.sqrt(math.fsum(v * v))

@@ -13,8 +13,8 @@ loss can be minimized by the classifier while the feature path ascends it.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,76 +45,85 @@ class Linear:
     bias: Array  # (out,)
 
 
-@dataclass
 class ParamTree:
-    """Parameter container; also reused for gradients and momentum buffers.
+    """Parameter container; also reused for gradients.
+
+    Every learnable leaf is a reshaped view into one contiguous float64
+    vector ``flat``, in the order generator[0].weight, generator[0].bias,
+    ..., bottleneck.weight, bottleneck.bias, classifier; the generator block
+    is therefore a prefix of ``flat``. The constructor packs the given
+    leaves once, checking that the layer shapes chain into each other.
 
     tau rides along with the parameters so forward() needs no extra
-    argument; it is not a learnable leaf and is skipped by flatten/unflatten.
+    argument; it is not a learnable leaf and has no place in ``flat``.
     """
 
-    generator: list[Linear]
-    bottleneck: Linear
-    classifier: Array  # (num_classes, bottleneck_dim) prototype rows, no bias
-    tau: float = 20.0
+    def __init__(self, generator: list[Linear], bottleneck: Linear, classifier, tau: float = 20.0):
+        layers = [*generator, bottleneck]
+        leaves = [as_float_array(a) for layer in layers for a in (layer.weight, layer.bias)]
+        leaves.append(as_float_array(classifier))
+        shapes = tuple(leaf.shape for leaf in leaves)
+        _check_chain(shapes)
+        self._bind(np.concatenate([leaf.ravel() for leaf in leaves]), shapes, tau)
+
+    def _bind(self, flat: Array, shapes: tuple, tau: float) -> None:
+        self.flat, self.shapes, self.tau = flat, shapes, tau
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        *gen, weight, bias, self.classifier = views
+        self.generator = [Linear(w, b) for w, b in zip(gen[::2], gen[1::2])]
+        self.bottleneck = Linear(weight, bias)
+        self.generator_size = sum(v.size for v in gen)
+
+    # pickling and deepcopy ship flat plus the layout and rebuild the views,
+    # so unpickled leaves still alias the unpickled flat
+    def __getstate__(self):
+        return self.flat, self.shapes, self.tau
+
+    def __setstate__(self, state) -> None:
+        self._bind(*state)
+
+    def with_flat(self, vec) -> "ParamTree":
+        """A tree with this layout and tau whose leaves are views into ``vec``."""
+        vec = np.ascontiguousarray(as_float_array(vec, ndim=1))
+        if vec.size != self.flat.size:
+            raise InvalidInputError(f"flat vector has {vec.size} entries, tree needs {self.flat.size}")
+        out = ParamTree.__new__(ParamTree)
+        out._bind(vec, self.shapes, self.tau)
+        return out
 
     def copy(self) -> "ParamTree":
-        return copy.deepcopy(self)
+        return self.with_flat(self.flat.copy())
+
+
+def _check_chain(shapes: tuple) -> None:
+    """Reject leaf shapes that do not chain: each weight is (out, in) with
+    ``in`` the previous layer's ``out``, each bias is (out,), and the
+    classifier is (num_classes, bottleneck out)."""
+    names = [f"generator.{i}" for i in range(len(shapes) // 2 - 1)] + ["bottleneck"]
+    fan_in = None
+    for i, name in enumerate(names):
+        w, b = shapes[2 * i], shapes[2 * i + 1]
+        if len(w) != 2:
+            raise InvalidInputError(f"{name}.weight has shape {w}, expected 2 dimensions")
+        if fan_in is not None and w[1] != fan_in:
+            raise InvalidInputError(f"{name}.weight has shape {w}, expected (out, {fan_in})")
+        if b != w[:1]:
+            raise InvalidInputError(f"{name}.bias has shape {b}, expected {w[:1]}")
+        fan_in = w[0]
+    if len(shapes[-1]) != 2 or shapes[-1][1] != fan_in:
+        raise InvalidInputError(f"classifier has shape {shapes[-1]}, expected (num_classes, {fan_in})")
 
 
 NetworkParams = ParamTree
 Gradients = ParamTree
 
 
-def tree_map(fn, *trees: ParamTree) -> ParamTree:
-    """Apply ``fn`` leaf-wise across structurally identical trees."""
-    gen = [
-        Linear(fn(*[t.generator[i].weight for t in trees]), fn(*[t.generator[i].bias for t in trees]))
-        for i in range(len(trees[0].generator))
-    ]
-    bottleneck = Linear(
-        fn(*[t.bottleneck.weight for t in trees]), fn(*[t.bottleneck.bias for t in trees])
-    )
-    classifier = fn(*[t.classifier for t in trees])
-    return ParamTree(gen, bottleneck, classifier, trees[0].tau)
-
-
-def zeros_like_tree(tree: ParamTree) -> ParamTree:
-    return tree_map(np.zeros_like, tree)
-
-
 def add_trees(a: ParamTree, b: ParamTree) -> ParamTree:
-    return tree_map(np.add, a, b)
-
-
-def scale_tree(tree: ParamTree, factor: float) -> ParamTree:
-    return tree_map(lambda x: factor * x, tree)
-
-
-def tree_leaves(tree: ParamTree) -> list[Array]:
-    leaves = []
-    for layer in tree.generator:
-        leaves.extend([layer.weight, layer.bias])
-    leaves.extend([tree.bottleneck.weight, tree.bottleneck.bias, tree.classifier])
-    return leaves
-
-
-def flatten_tree(tree: ParamTree) -> Array:
-    return np.concatenate([leaf.ravel() for leaf in tree_leaves(tree)])
-
-
-def unflatten_tree(vec: Array, like: ParamTree) -> ParamTree:
-    vec = as_float_array(vec, ndim=1)
-    out = zeros_like_tree(like)
-    total = sum(leaf.size for leaf in tree_leaves(out))
-    if vec.size != total:
-        raise InvalidInputError(f"flat vector has {vec.size} entries, tree needs {total}")
-    offset = 0
-    for leaf in tree_leaves(out):
-        n = leaf.size
-        leaf[...] = vec[offset : offset + n].reshape(leaf.shape)
-        offset += n
-    return out
+    return a.with_flat(a.flat + b.flat)
 
 
 def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
@@ -188,8 +197,9 @@ def backward(
             f"loss gradient shape {g_logits.shape} does not match logits {fwd.logits.shape}"
         )
     tau = params.tau
+    grads = params.with_flat(np.empty_like(params.flat))
 
-    d_classifier = g_logits.T @ fwd.norm_features
+    grads.classifier[...] = g_logits.T @ fwd.norm_features
     d_v = g_logits @ params.classifier
     if reverse_below_classifier:
         d_v = -d_v
@@ -200,28 +210,28 @@ def backward(
     d_raw = (tau / norms)[:, None] * (d_v - (row_dot / norms**2)[:, None] * raw)
 
     gen_input = fwd.hidden[-1] if params.generator else fwd.inputs
-    d_bottleneck = Linear(d_raw.T @ gen_input, d_raw.sum(axis=0))
+    grads.bottleneck.weight[...] = d_raw.T @ gen_input
+    grads.bottleneck.bias[...] = d_raw.sum(axis=0)
     d_act = d_raw @ params.bottleneck.weight
 
-    d_gen: list[Linear] = []
     for i in reversed(range(len(params.generator))):
         d_z = d_act * (1.0 - fwd.hidden[i] ** 2)
         below = fwd.hidden[i - 1] if i > 0 else fwd.inputs
-        d_gen.append(Linear(d_z.T @ below, d_z.sum(axis=0)))
+        grads.generator[i].weight[...] = d_z.T @ below
+        grads.generator[i].bias[...] = d_z.sum(axis=0)
         d_act = d_z @ params.generator[i].weight
-    d_gen.reverse()
-    return ParamTree(d_gen, d_bottleneck, d_classifier, tau)
+    return grads
 
 
 @dataclass
 class OptimizerState:
-    buffers: ParamTree
+    buffers: Array  # one momentum entry per entry of params.flat
     momentum: float = 0.9
     iteration: int = 0
 
 
 def init_optimizer_state(params: NetworkParams, momentum: float = 0.9) -> OptimizerState:
-    return OptimizerState(zeros_like_tree(params), momentum)
+    return OptimizerState(np.zeros_like(params.flat), momentum)
 
 
 def sgd_step(
@@ -233,25 +243,19 @@ def sgd_step(
 ) -> None:
     """In-place momentum update: buffer <- m*buffer + grad; param <- param - lr*buffer.
 
-    ``generator_lr`` overrides the step size for the generator subtree so the
-    feature extractor can train slower than the bottleneck and classifier.
+    ``generator_lr`` overrides the step size for the generator prefix of
+    ``flat`` so the feature extractor can train slower than the bottleneck
+    and classifier.
     """
     if lr <= 0.0:
         raise InvalidInputError("learning rate must be positive")
     gen_lr = lr if generator_lr is None else generator_lr
-    m = state.momentum
-
-    def update(param: Array, grad: Array, buf: Array, step: float) -> None:
-        buf *= m
-        buf += grad
-        param -= step * buf
-
-    for p_layer, g_layer, b_layer in zip(params.generator, grads.generator, state.buffers.generator):
-        update(p_layer.weight, g_layer.weight, b_layer.weight, gen_lr)
-        update(p_layer.bias, g_layer.bias, b_layer.bias, gen_lr)
-    update(params.bottleneck.weight, grads.bottleneck.weight, state.buffers.bottleneck.weight, lr)
-    update(params.bottleneck.bias, grads.bottleneck.bias, state.buffers.bottleneck.bias, lr)
-    update(params.classifier, grads.classifier, state.buffers.classifier, lr)
+    g = params.generator_size
+    for part, step in ((slice(None, g), gen_lr), (slice(g, None), lr)):
+        buf = state.buffers[part]
+        buf *= state.momentum
+        buf += grads.flat[part]
+        params.flat[part] -= step * buf
     state.iteration += 1
 
 

@@ -244,34 +244,6 @@ def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStr
 
 # --- checkpoint-format serialization -----------------------------------------
 
-def _encode_tag(tag: str) -> Array:
-    return np.frombuffer(tag.encode("utf-8"), dtype=np.uint8).astype(np.int64)
-
-
-def _decode_tag(arr: Array) -> str:
-    return bytes(int(v) for v in arr).decode("utf-8")
-
-
-def strong_to_arrays(strong: StrongSet) -> dict:
-    out = {"strong.k": np.array(len(strong.entries), dtype=np.int64)}
-    for j, entry in enumerate(strong.entries):
-        if entry is not None:
-            out[f"strong.{j}.x"] = entry.x
-            out[f"strong.{j}.tag"] = _encode_tag(entry.domain)
-    return out
-
-
-def strong_from_arrays(arrays: dict) -> StrongSet:
-    k = int(arrays["strong.k"])
-    entries = []
-    for j in range(k):
-        if f"strong.{j}.x" in arrays:
-            entries.append(StrongEntry(arrays[f"strong.{j}.x"], _decode_tag(arrays[f"strong.{j}.tag"])))
-        else:
-            entries.append(None)
-    return StrongSet(entries)
-
-
 def pseudo_to_arrays(pseudo: PseudoStrongSet) -> dict:
     out = {"pseudo.k": np.array(len(pseudo.pools), dtype=np.int64)}
     for j, pool in enumerate(pseudo.pools):

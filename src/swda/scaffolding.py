@@ -38,7 +38,7 @@ from .network import (
     lr_schedule,
     sgd_step,
 )
-from .repsets import PseudoStrongSet, StrongEntry, StrongSet
+from .repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
 
 log = logging.getLogger(__name__)
 
@@ -125,19 +125,12 @@ def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
     total probability mass is marked invalid instead of raising."""
     fwd = forward(params, samples)
     P, V = fwd.probs, fwd.norm_features
-    k = params.classifier.shape[0]
-    d = V.shape[1]
-    C = np.zeros((k, d))
-    valid = np.ones(k, dtype=bool)
-    for j in range(k):
-        w = P[:, j]
-        denom = math.fsum(w.tolist())
-        if denom == 0.0:
-            valid[j] = False
-            log.warning("class %d has zero probability mass; centroid marked unusable", j)
-            continue
-        for dd in range(d):
-            C[j, dd] = math.fsum((w * V[:, dd]).tolist()) / denom
+    valid = np.array([math.fsum(P[:, j].tolist()) != 0.0 for j in range(P.shape[1])], dtype=bool)
+    for j in np.flatnonzero(~valid):
+        log.warning("class %d has zero probability mass; centroid marked unusable", j)
+    # each centroid row depends only on its own probability column
+    C = np.zeros((P.shape[1], V.shape[1]))
+    C[valid] = compute_centroids(P[:, valid], V)
     return C, valid
 
 
@@ -240,7 +233,7 @@ def replace_with_peers(
     return StrongSet(entries)
 
 
-# --- reporting / serialization ------------------------------------------------
+# --- reporting ----------------------------------------------------------------
 
 def format_distance_report(G: DistanceGraph, names: list) -> str:
     """Per-class distance matrices plus the class-averaged matrix; unusable
@@ -263,10 +256,3 @@ def format_distance_report(G: DistanceGraph, names: list) -> str:
         lines.append(" ".join(f"{avg[a, b]:.6f}" for b in range(G.num_domains)))
     return "\n".join(lines) + "\n"
 
-
-def graph_to_arrays(G: DistanceGraph) -> dict:
-    return {"graph.tensor": G.tensor, "graph.valid": G.valid.astype(np.int64)}
-
-
-def graph_from_arrays(arrays: dict) -> DistanceGraph:
-    return DistanceGraph(arrays["graph.tensor"], arrays["graph.valid"].astype(bool))

@@ -38,10 +38,8 @@ from swda.mathutils import finite_diff_gradient, softmax
 from swda.network import (
     NetworkConfig,
     backward,
-    flatten_tree,
     forward,
     init_params,
-    unflatten_tree,
 )
 from swda.pipeline import (
     evaluate,
@@ -109,13 +107,13 @@ def test_criterion_01_loss_gradients_match_finite_differences():
             "all": lambda fwd: adversarial_logit_loss(fwd.logits, fwd.probs, 0.0),
             "sw": lambda fwd: strong_weak_loss(fwd.probs, labels),
         }
-        vec = flatten_tree(params)
+        vec = params.flat
         for name, make_loss in cases.items():
             fwd = forward(params, x)
-            analytic = flatten_tree(backward(params, fwd, make_loss(fwd).grad_wrt_logits))
+            analytic = backward(params, fwd, make_loss(fwd).grad_wrt_logits).flat
 
             def value_at(v):
-                return make_loss(forward(unflatten_tree(v, params), x)).value
+                return make_loss(forward(params.with_flat(v), x)).value
 
             numeric = finite_diff_gradient(value_at, vec)
             assert_grad_close(analytic, numeric)

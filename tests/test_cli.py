@@ -17,7 +17,7 @@ from swda.cli import main
 from swda.config import ExperimentConfig
 from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, save_csv
 from swda.losses import LossWeights
-from swda.network import NetworkConfig, flatten_tree, init_params, tree_leaves
+from swda.network import NetworkConfig, init_params
 from swda.pipeline import train_single_target
 
 try:
@@ -174,7 +174,7 @@ def test_cli_matches_library_api(tmp_path):
     assert doc["loss_ce"] == metrics.loss_ce
     assert doc["loss_sw"] == metrics.loss_sw
     loaded = ckpt.load_params(out / "checkpoint.txt")
-    assert np.array_equal(flatten_tree(loaded), flatten_tree(params))
+    assert np.array_equal(loaded.flat, params.flat)
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
@@ -276,13 +276,42 @@ def test_missing_config_file_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "key, cut",
+    [("bottleneck.bias", np.s_[:-1]), ("classifier", np.s_[:, :-1])],
+    ids=["bias-one-short", "classifier-column-short"],
+)
+def test_checkpoint_shape_mismatch_exit_2(tmp_path, capsys, key, cut):
+    write_dataset(tmp_path)
+    params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(16,), bottleneck_dim=8), seed=0)
+    arrays = ckpt.params_to_arrays(params)
+    arrays[key] = arrays[key][cut]
+    ckpt.save_arrays(tmp_path / "bad.txt", arrays)
+    rc = main(
+        [
+            "distance-graph",
+            "--checkpoint",
+            str(tmp_path / "bad.txt"),
+            "--domains",
+            str(tmp_path / "source.csv"),
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "graph.txt"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} has shape" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "graph.txt").exists()
+
+
 def test_zero_weight_checkpoint_exit_3(tmp_path, capsys):
     # all-zero weights produce zero-norm features, which the forward pass
     # rejects as a numerical failure rather than a config problem
     write_dataset(tmp_path)
     params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(16,), bottleneck_dim=8), seed=0)
-    for leaf in tree_leaves(params):
-        leaf[...] = 0.0
+    params.flat[...] = 0.0
     ckpt.save_params(tmp_path / "zero.txt", params)
     rc = main(
         [

@@ -9,9 +9,7 @@ from swda.losses import (
     adversarial_logit_loss,
     cross_entropy,
     info_max_loss,
-    info_max_lower_bound,
     strong_weak_loss,
-    target_composite,
 )
 from swda.mathutils import finite_diff_gradient, softmax
 
@@ -50,7 +48,6 @@ def test_cross_entropy_known_value():
     assert abs(out.value - (-(math.log(0.7) + math.log(0.8)) / 2.0)) < 1e-12
     grad = (probs - np.eye(3)[[0, 1]]) / 2.0
     assert np.allclose(out.grad_wrt_logits, grad, atol=1e-12)
-    assert not out.reverse_below_classifier
 
 
 def test_cross_entropy_perfect_prediction_zero_loss():
@@ -90,7 +87,6 @@ def test_info_max_one_hot_uniform_marginal_hits_lower_bound():
     p = np.eye(k)[np.arange(8) % k]
     out = info_max_loss(p)
     assert abs(out.value - (-math.log(k))) < 1e-9
-    assert abs(info_max_lower_bound(k) - (-math.log(k))) < 1e-15
 
 
 def test_info_max_value_formula():
@@ -126,7 +122,6 @@ def test_adversarial_gate_and_value():
     expected = np.zeros_like(logits)
     expected[0, 0] = expected[2, 0] = 1.0 / 3.0
     assert np.array_equal(out.grad_wrt_logits, expected)
-    assert out.reverse_below_classifier
 
 
 def test_adversarial_gate_strict():
@@ -190,15 +185,3 @@ def test_strong_weak_empty_batch_is_silent_zero():
     out = strong_weak_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
     assert out.value == 0.0
     assert out.grad_wrt_logits.shape == (0, 3)
-
-
-def test_target_composite_weighting():
-    p = softmax(np.random.default_rng(4).normal(size=(5, 3)))
-    logits = np.random.default_rng(5).normal(size=(5, 3))
-    y = np.array([0, 1, 2, 0, 1])
-    w = LossWeights()
-    im = info_max_loss(p)
-    all_ = adversarial_logit_loss(logits, p, w.lam)
-    sw = strong_weak_loss(p, y)
-    total = target_composite(im, all_, sw, w)
-    assert abs(total - (0.1 * im.value + 0.05 * all_.value + 1.0 * sw.value)) < 1e-12

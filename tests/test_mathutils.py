@@ -9,7 +9,6 @@ from swda.mathutils import (
     cosine_distance,
     exact_norm,
     finite_diff_gradient,
-    l2_normalize,
     softmax,
 )
 
@@ -48,22 +47,6 @@ def test_softmax_shift_invariance():
 def test_softmax_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         softmax(np.array([[1.0, np.nan]]))
-
-
-def test_l2_normalize_norm_and_direction():
-    rng = np.random.default_rng(2)
-    for _ in range(7):
-        v = rng.normal(size=5)
-        out = l2_normalize(v, tau=20.0)
-        assert abs(math.sqrt((out**2).sum()) - 20.0) < 1e-9
-        assert np.allclose(out / 20.0, v / np.linalg.norm(v), atol=1e-12)
-
-
-def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize(np.zeros(4), tau=20.0)
-    with pytest.raises(InvalidInputError):
-        l2_normalize(np.ones(4), tau=-1.0)
 
 
 def test_exact_norm_matches_fsum():

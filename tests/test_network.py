@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,15 +13,11 @@ from swda.network import (
     OptimizerState,
     ParamTree,
     backward,
-    flatten_tree,
     forward,
     init_optimizer_state,
     init_params,
     lr_schedule,
     sgd_step,
-    tree_map,
-    unflatten_tree,
-    zeros_like_tree,
 )
 
 SMALL = NetworkConfig(input_dim=4, generator_hidden_dims=(8,), bottleneck_dim=6, num_classes=3)
@@ -34,8 +33,8 @@ def test_init_deterministic_and_seed_sensitive():
     a = init_params(SMALL, 7)
     b = init_params(SMALL, 7)
     c = init_params(SMALL, 8)
-    assert np.array_equal(flatten_tree(a), flatten_tree(b))
-    assert not np.array_equal(flatten_tree(a), flatten_tree(c))
+    assert np.array_equal(a.flat, b.flat)
+    assert not np.array_equal(a.flat, c.flat)
 
 
 def test_init_bound_scales_with_fan_in():
@@ -124,13 +123,13 @@ def test_backward_matches_finite_differences_cross_entropy():
         y = rng.integers(0, 3, size=6)
 
         def loss_at(flat):
-            p = unflatten_tree(flat, params)
+            p = params.with_flat(flat)
             return cross_entropy(forward(p, x).probs, y).value
 
         fwd = forward(params, x)
         grads = backward(params, fwd, cross_entropy(fwd.probs, y).grad_wrt_logits)
-        numeric = finite_diff_gradient(loss_at, flatten_tree(params))
-        assert grad_check(flatten_tree(grads), numeric), f"seed {seed}"
+        numeric = finite_diff_gradient(loss_at, params.flat)
+        assert grad_check(grads.flat, numeric), f"seed {seed}"
 
 
 def test_backward_shape_mismatch():
@@ -144,7 +143,7 @@ def test_backward_zero_grad_gives_zero_tree():
     params = init_params(SMALL, 0)
     fwd = forward(params, np.ones((3, 4)))
     grads = backward(params, fwd, np.zeros_like(fwd.logits))
-    assert np.all(flatten_tree(grads) == 0.0)
+    assert np.all(grads.flat == 0.0)
 
 
 def test_gradient_reversal_flips_only_lower_tree():
@@ -164,9 +163,9 @@ def test_gradient_reversal_flips_only_lower_tree():
 
 def test_sgd_zero_grad_no_change():
     params = init_params(SMALL, 0)
-    before = flatten_tree(params)
-    sgd_step(params, zeros_like_tree(params), init_optimizer_state(params), lr=0.1)
-    assert np.array_equal(flatten_tree(params), before)
+    before = params.flat.copy()
+    sgd_step(params, params.with_flat(np.zeros_like(params.flat)), init_optimizer_state(params), lr=0.1)
+    assert np.array_equal(params.flat, before)
 
 
 def _scalar_tree(value: float) -> ParamTree:
@@ -188,7 +187,7 @@ def test_sgd_single_step_and_momentum_unroll():
 def test_sgd_generator_lr_split():
     cfg = NetworkConfig(input_dim=2, generator_hidden_dims=(2,), bottleneck_dim=2, num_classes=2)
     params = init_params(cfg, 0)
-    grads = tree_map(np.ones_like, params)
+    grads = params.with_flat(np.ones_like(params.flat))
     before_gen = params.generator[0].weight.copy()
     before_cls = params.classifier.copy()
     sgd_step(params, grads, init_optimizer_state(params), lr=0.1, generator_lr=0.01)
@@ -199,7 +198,7 @@ def test_sgd_generator_lr_split():
 def test_sgd_rejects_bad_lr():
     params = init_params(SMALL, 0)
     with pytest.raises(InvalidInputError):
-        sgd_step(params, zeros_like_tree(params), init_optimizer_state(params), lr=0.0)
+        sgd_step(params, params.with_flat(np.zeros_like(params.flat)), init_optimizer_state(params), lr=0.0)
 
 
 def test_lr_schedule_values():
@@ -217,10 +216,59 @@ def test_lr_schedule_rejects_out_of_range():
         lr_schedule(1.1, 0.01)
 
 
+def layer_arrays(params: ParamTree) -> list:
+    """Every learnable array in layer order, the generator first."""
+    arrays = [a for layer in (*params.generator, params.bottleneck) for a in (layer.weight, layer.bias)]
+    return arrays + [params.classifier]
+
+
 def test_flatten_unflatten_round_trip():
     params = init_params(SMALL, 5)
-    flat = flatten_tree(params)
-    back = unflatten_tree(flat, params)
-    assert np.array_equal(flatten_tree(back), flat)
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in layer_arrays(params)]))
+    assert params.generator_size == SMALL.input_dim * 8 + 8
+    back = params.with_flat(params.flat.copy())
+    assert np.array_equal(back.flat, params.flat)
+    assert back.tau == params.tau
     with pytest.raises(InvalidInputError):
-        unflatten_tree(flat[:-1], params)
+        params.with_flat(params.flat[:-1])
+
+
+def assert_views_alias_flat(params: ParamTree) -> None:
+    """Every leaf is a view into params.flat: a write to flat shows in it."""
+    leaves = layer_arrays(params)
+    for leaf in leaves:
+        assert np.shares_memory(leaf, params.flat)
+    params.flat[...] = 7.0
+    assert all(np.all(leaf == 7.0) for leaf in leaves)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [ParamTree.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_duplicates_keep_views_aliasing_flat(duplicate):
+    params = init_params(SMALL, 6)
+    before = params.flat.copy()
+    dup = duplicate(params)
+    assert np.array_equal(dup.flat, before)
+    assert dup.tau == params.tau
+    assert not np.shares_memory(dup.flat, params.flat)
+    assert_views_alias_flat(dup)
+    assert np.array_equal(params.flat, before)
+    assert_views_alias_flat(params)
+
+
+def test_rejects_leaf_shapes_that_do_not_chain():
+    def tree(**shapes):
+        dims = {"gw": (3, 2), "gb": (3,), "bw": (4, 3), "bb": (4,), "c": (5, 4), **shapes}
+        return ParamTree(
+            [Linear(np.zeros(dims["gw"]), np.zeros(dims["gb"]))],
+            Linear(np.zeros(dims["bw"]), np.zeros(dims["bb"])),
+            np.zeros(dims["c"]),
+        )
+
+    assert tree().flat.size == 6 + 3 + 12 + 4 + 20
+    for bad in ({"gw": (6,)}, {"gb": (2,)}, {"bw": (4, 2)}, {"bb": (3,)}, {"c": (5, 3)}, {"c": (20,)}):
+        with pytest.raises(InvalidInputError):
+            tree(**bad)

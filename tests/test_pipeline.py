@@ -11,7 +11,7 @@ from swda.config import ExperimentConfig
 from swda.datasets import IDENTITY, DomainTransform, SyntheticSpec, generate
 from swda.errors import InvalidDatasetError, InvalidInputError
 from swda.losses import LossWeights
-from swda.network import NetworkConfig, flatten_tree
+from swda.network import NetworkConfig
 from swda.pipeline import (
     evaluate,
     loss_curves_csv,
@@ -51,7 +51,7 @@ def tiny_config(**kw) -> ExperimentConfig:
 
 
 def params_equal(a, b) -> bool:
-    return np.array_equal(flatten_tree(a), flatten_tree(b))
+    return np.array_equal(a.flat, b.flat)
 
 
 def test_single_target_deterministic():
@@ -210,6 +210,11 @@ def test_multi_target_jobs_deterministic():
     for (ps, ms), (pp, mp) in zip(serial.per_target, parallel.per_target):
         assert params_equal(ps, pp)
         assert metrics_to_json(ms) == metrics_to_json(mp)
+        # params come back from the worker processes as pickles; their
+        # layer arrays must still be views into flat
+        for layer in (*pp.generator, pp.bottleneck):
+            assert np.shares_memory(layer.weight, pp.flat) and np.shares_memory(layer.bias, pp.flat)
+        assert np.shares_memory(pp.classifier, pp.flat)
 
 
 def test_part3_seed_distinct_per_target():

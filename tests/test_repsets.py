@@ -21,8 +21,6 @@ from swda.repsets import (
     pseudo_from_arrays,
     pseudo_to_arrays,
     select_sw_batch,
-    strong_from_arrays,
-    strong_to_arrays,
     update_strong_set,
     update_weak_set,
 )
@@ -264,17 +262,6 @@ def test_harvest_tie_stability():
 
 
 # --- serialization ------------------------------------------------------------
-
-def test_strong_set_round_trip():
-    strong = StrongSet(
-        [StrongEntry(np.array([1.5, -2.5]), "target2"), None, StrongEntry(np.array([0.0, 1.0]), "t")]
-    )
-    back = strong_from_arrays(strong_to_arrays(strong))
-    assert back.entries[1] is None
-    assert np.array_equal(back.entries[0].x, strong.entries[0].x)
-    assert back.entries[0].domain == "target2"
-    assert back.entries[2].domain == "t"
-
 
 def test_pseudo_set_round_trip():
     pools = PseudoStrongSet([[np.array([1.0, 2.0]), np.array([3.0, 4.0])], []])

@@ -3,11 +3,10 @@ import pytest
 
 from oracles import distance_graph as oracle_distance_graph
 from oracles import peer_qualifies as oracle_peer_qualifies
-from swda.checkpoint import load_arrays, save_arrays
 from swda.config import ExperimentConfig
 from swda.datasets import Domain, generate, standard_shift_spec
 from swda.errors import InvalidDatasetError, InvalidInputError, NotInitializedError
-from swda.network import NetworkConfig, flatten_tree, forward, init_params
+from swda.network import NetworkConfig, forward, init_params
 from swda.repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
 from swda.scaffolding import (
     DistanceGraph,
@@ -17,8 +16,6 @@ from swda.scaffolding import (
     check_source_classes,
     compute_domain_centroids,
     format_distance_report,
-    graph_from_arrays,
-    graph_to_arrays,
     peer_qualifies,
     qualifying_fraction,
     replace_with_peers,
@@ -53,7 +50,7 @@ def test_train_source_only_zero_budget_returns_init():
     src = generate(standard_shift_spec(0))[0]
     cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=3, source_iterations=0)
     params = train_source_only(cfg, src)
-    assert np.array_equal(flatten_tree(params), flatten_tree(init_params(cfg.network, 3)))
+    assert np.array_equal(params.flat, init_params(cfg.network, 3).flat)
 
 
 def test_train_source_only_learns_and_is_deterministic():
@@ -63,7 +60,7 @@ def test_train_source_only_learns_and_is_deterministic():
     acc = float(np.mean(np.argmax(forward(params, src.samples).probs, axis=1) == src.labels))
     assert acc > 0.8
     again = train_source_only(cfg, src)
-    assert np.array_equal(flatten_tree(params), flatten_tree(again))
+    assert np.array_equal(params.flat, again.flat)
 
 
 # --- centroids and the distance graph -----------------------------------------
@@ -271,14 +268,3 @@ def test_format_distance_report_nan_for_invalid():
     G.valid[0, 1, 0] = G.valid[1, 0, 0] = False
     text = format_distance_report(G, ["s", "a", "b"])
     assert "nan" in text
-
-
-def test_graph_checkpoint_round_trip(tmp_path):
-    G = graph_from_distances([0.07, 0.3], [0.2, 0.2], [0.16, 0.1])
-    G.valid[0, 1, 1] = False
-    p = tmp_path / "graph.txt"
-    save_arrays(p, graph_to_arrays(G))
-    back = graph_from_arrays(load_arrays(p))
-    assert np.array_equal(back.tensor, G.tensor)
-    assert np.array_equal(back.valid, G.valid)
-    assert back.valid.dtype == bool
