@@ -122,7 +122,10 @@ def arrays_to_params(arrays: dict) -> NetworkParams:
             for i in range(n_layers)
         ]
         bottleneck = Linear(arrays["bottleneck.weight"], arrays["bottleneck.bias"])
-        tau = float(arrays["tau"])
+        tau = np.asarray(arrays["tau"])
+        if tau.ndim != 0:
+            raise InvalidInputError(f"checkpoint tau must be a scalar, got shape {tau.shape}")
+        tau = float(tau)
         if not math.isfinite(tau) or tau <= 0.0:
             raise InvalidInputError(f"checkpoint tau={tau} must be positive")
         return ParamTree(gen, bottleneck, arrays["classifier"], tau)

@@ -89,6 +89,10 @@ def experiment_config_from_dict(cfg: dict, input_dim: int, num_classes: int) -> 
         if cfg.get(key) is not None and cfg[key] != resolved:
             raise ConfigError(f"config {key}={cfg[key]} conflicts with data ({resolved})")
 
+    dims = cfg.get("generator_hidden_dims", [])
+    if not isinstance(dims, (list, tuple)) or any(type(h) is not int or h < 1 for h in dims):
+        raise ConfigError(f"generator_hidden_dims must be a list of positive integers, got {dims!r}")
+
     def given(keys) -> dict:
         return {k: cfg[k] for k in keys if k in cfg}
 

@@ -290,5 +290,11 @@ def load_csv(path) -> Domain:
         raise ParseError("no data rows", line=len(lines))
     if any(l is None for l in labels) and any(l is not None for l in labels):
         raise ParseError("mixed labeled and unlabeled rows", line=2)
+    samples = np.array(rows)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        r, col = np.argwhere(~finite)[0]
+        line_no = [i for i, line in enumerate(lines[1:], start=2) if line.strip()][r]
+        raise ParseError(f"non-finite feature value {samples[r, col]!r} in column f{col}", line=line_no)
     label_arr = None if labels[0] is None else np.array(labels, dtype=np.int64)
-    return Domain(path.stem, np.array(rows), label_arr)
+    return Domain(path.stem, samples, label_arr)

@@ -1,9 +1,11 @@
 """Dense float64 math primitives the rest of the package builds on.
 
-Everything is pure and deterministic. Cosine distance accumulates with
-``math.fsum`` (exactly rounded, order independent), so any two code paths
-that evaluate the same formula on the same operands agree bit for bit;
-centroid selection and the distance graph rely on that.
+Everything is pure and deterministic. Norms and cosine distances
+accumulate with ``math.fsum`` (exactly rounded, order independent), so
+any two code paths that evaluate the same formula on the same operands
+agree bit for bit. The distance graph relies on that, and the
+nearest-centroid searches in ``repsets`` use these fsum distances as the
+reference that their certified BLAS tables are checked against.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ def softmax(logits) -> Array:
 
 def exact_norm(v: Array) -> float:
     """Euclidean norm via exactly rounded summation."""
-    return math.sqrt(math.fsum(v * v))
+    return math.sqrt(math.fsum((v * v).tolist()))
 
 
 def cosine_distance_with_norms(a: Array, b: Array, norm_a: float, norm_b: float) -> float:
     """Cosine distance when the operand norms are already known (and nonzero)."""
-    dot = math.fsum(a * b)
+    dot = math.fsum((a * b).tolist())
     d = 1.0 - dot / (norm_a * norm_b)
     return min(2.0, max(0.0, d))
 

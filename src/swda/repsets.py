@@ -12,9 +12,13 @@ Fusion blends the strong and weak sample of a class with a random convex
 coefficient; selection mirrors the predicted label distribution of the
 current batch so the fused supervision cannot drown out the target data.
 
-Centroid and distance arithmetic routes every reduction through
-math.fsum, which is exactly rounded and therefore order-independent;
-results are bit-identical to naive double-loop recomputation.
+Centroids and feature norms are summed with math.fsum, which is exactly
+rounded and therefore order-independent. The nearest-centroid and
+nearest-sample searches build the whole cosine-distance table with one
+BLAS product and a certified error bound: only entries the bound cannot
+separate from the row minimum are re-evaluated through fsum, so the
+chosen indices are bit-identical to a naive double loop over fsum
+distances.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClassError, InvalidInputError, NotInitializedError
+from .errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
 from .mathutils import Array, as_float_array, cosine_distance_with_norms, exact_norm
 
 
@@ -95,25 +99,73 @@ def compute_centroids(probs, features) -> Array:
     return C
 
 
+# Safe norm range for the certificate in _nearest: with both operand norms
+# in [2^-250, 2^250], no product or partial sum of a dot product
+# overflows, and underflow adds under 4d * 2^-575 relative error, far
+# below the unit roundoff.
+_SAFE_NORM_LO, _SAFE_NORM_HI = 2.0**-250, 2.0**250
+
+
+def _in_safe_range(norms: Array) -> Array:
+    return (norms >= _SAFE_NORM_LO) & (norms <= _SAFE_NORM_HI)
+
+
+def _row_norms(M: Array, what: str, ids=None) -> Array:
+    """Exact norm of every row; a zero row (row ``ids[r]`` in messages) raises."""
+    norms = np.array([exact_norm(row) for row in M])
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        row = zero[0] if ids is None else ids[zero[0]]
+        raise DegenerateInputError(f"{what} {row} has zero norm; its cosine distance is undefined")
+    return norms
+
+
+def _nearest(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:
+    """Per row of A, the index of the cosine-nearest row of B, ties to the
+    lowest index: the pick of a scan over j = 0, 1, ... that keeps strict
+    improvements of cosine_distance_with_norms(A[i], B[j], ...), bit for bit.
+
+    Certificate. Let u = 2^-53, s = a.b and S = sum |a_i b_i| <= |a||b|.
+    The exact norms obey |a| <= norm_a / (1-u)^2, so S <= D / (1-u)^5 with
+    D = fl(norm_a * norm_b), the denominator both paths share. The fsum dot
+    is within (2u + u^2) S of s; the BLAS dot within gamma_d S, in any
+    summation order, with or without FMA (Higham, Accuracy and Stability
+    of Numerical Algorithms, 3.1). Dividing by D rounds each quotient
+    (|quotient| <= 1 + O(du)) by at most u, and 1 - quotient by at most
+    2u each; clipping to [0, 2] shrinks differences. Hence a table entry
+    lies within gamma_d + 8u + O(d^2 u^2) <= (d + 9) u of the fsum
+    distance when d <= 2^25. tol = (d + 11) u also absorbs the rounding
+    of row_min + 2 tol (at most 3u). Every exact minimizer then has a
+    table entry <= row_min + 2 tol, so the scan over those candidates
+    alone picks the same index. Entries whose norms lie outside the safe
+    range, and every entry when d > 2^25, are always candidates.
+    """
+    unsafe = ~np.logical_and.outer(_in_safe_range(a_norms), _in_safe_range(b_norms))
+    with np.errstate(all="ignore"):
+        table = np.clip(1.0 - (A @ B.T) / np.outer(a_norms, b_norms), 0.0, 2.0)
+    table[unsafe] = math.inf
+    d = A.shape[1]
+    tol = (d + 11) * 2.0**-53 if d <= 2**25 else math.inf
+    cand = (table <= table.min(axis=1, keepdims=True) + 2.0 * tol) | unsafe
+    picks = np.argmax(cand, axis=1)
+    for i in np.flatnonzero(cand.sum(axis=1) > 1):
+        best_d = math.inf
+        for j in np.flatnonzero(cand[i]):
+            dist = cosine_distance_with_norms(A[i], B[j], a_norms[i], b_norms[j])
+            if dist < best_d:
+                picks[i], best_d = j, dist
+    return picks
+
+
 def assign_pseudo_labels(features, centroids) -> Array:
     """Cosine-nearest centroid per sample; distance ties go to the lowest class."""
     V = as_float_array(features, ndim=2)
     C = as_float_array(centroids, ndim=2)
     if V.shape[1] != C.shape[1]:
         raise InvalidInputError(f"feature dim {V.shape[1]} != centroid dim {C.shape[1]}")
-    n, k = V.shape[0], C.shape[0]
-    c_norms = [exact_norm(C[j]) for j in range(k)]
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        v = V[i]
-        nv = exact_norm(v)
-        best_j, best_d = 0, math.inf
-        for j in range(k):
-            dist = cosine_distance_with_norms(v, C[j], nv, c_norms[j])
-            if dist < best_d:
-                best_j, best_d = j, dist
-        labels[i] = best_j
-    return labels
+    if C.shape[0] == 0:
+        raise InvalidInputError("need at least one centroid")
+    return _nearest(V, _row_norms(V, "feature row"), C, _row_norms(C, "centroid"))
 
 
 def _onehot_centroid(V: Array, rows: Array) -> Array:
@@ -136,27 +188,18 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
     P, V = _check_pair(probs, norm_features, "probs", "norm_features")
     if X.shape[0] != P.shape[0]:
         raise InvalidInputError("inputs row count does not match probs")
-    n, k = P.shape
+    k = P.shape[1]
     round1 = compute_centroids(P, V)
-    labels = assign_pseudo_labels(V, round1)
-    v_norms = [exact_norm(V[i]) for i in range(n)]
+    v_norms = _row_norms(V, "feature row")
+    labels = _nearest(V, v_norms, round1, _row_norms(round1, "centroid"))
 
-    entries = []
-    for j in range(k):
-        assigned = np.flatnonzero(labels == j)
-        if assigned.size == 0:
-            pick = int(np.argmax(P[:, j]))
-            entries.append(StrongEntry(X[pick].copy(), domain))
-            continue
-        c1 = _onehot_centroid(V, assigned)
-        c1_norm = exact_norm(c1)
-        best_i, best_d = 0, math.inf
-        for i in range(n):
-            dist = cosine_distance_with_norms(V[i], c1, v_norms[i], c1_norm)
-            if dist < best_d:
-                best_i, best_d = i, dist
-        entries.append(StrongEntry(X[best_i].copy(), domain))
-    return StrongSet(entries)
+    members = [np.flatnonzero(labels == j) for j in range(k)]
+    refined = [j for j in range(k) if members[j].size]
+    C1 = np.stack([_onehot_centroid(V, members[j]) for j in refined])
+    c1_norms = _row_norms(C1, "refined centroid of class", refined)
+    nearest = dict(zip(refined, _nearest(C1, c1_norms, V, v_norms)))
+    picks = [nearest[j] if j in nearest else np.argmax(P[:, j]) for j in range(k)]
+    return StrongSet([StrongEntry(X[i].copy(), domain) for i in picks])
 
 
 def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:

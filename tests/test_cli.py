@@ -258,6 +258,55 @@ def test_malformed_csv_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_feature_exit_2(tmp_path, capsys, value):
+    write_dataset(tmp_path)
+    lines = (tmp_path / "target.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[2] = value
+    lines[3] = ",".join(fields)
+    (tmp_path / "target.csv").write_text("\n".join(lines) + "\n")
+    cfg_path, _ = write_config(tmp_path)
+    rc = main(
+        [
+            "train-single",
+            "--config",
+            str(cfg_path),
+            "--source",
+            str(tmp_path / "source.csv"),
+            "--target",
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "run"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "f1" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dims", [64, [0], [16.0], ["16"], [True], "64", None])
+def test_generator_hidden_dims_must_be_positive_int_list_exit_2(tmp_path, capsys, dims):
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, extra={"generator_hidden_dims": dims})
+    rc = main(
+        [
+            "train-single",
+            "--config",
+            str(cfg_path),
+            "--source",
+            str(tmp_path / "source.csv"),
+            "--target",
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "run"),
+        ]
+    )
+    assert rc == 2
+    assert "generator_hidden_dims must be a list of positive integers" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_2(tmp_path):
     write_dataset(tmp_path)
     rc = main(
@@ -302,6 +351,31 @@ def test_checkpoint_shape_mismatch_exit_2(tmp_path, capsys, key, cut):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {key} has shape" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "graph.txt").exists()
+
+
+def test_checkpoint_non_scalar_tau_exit_2(tmp_path, capsys):
+    write_dataset(tmp_path)
+    params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(16,), bottleneck_dim=8), seed=0)
+    arrays = ckpt.params_to_arrays(params)
+    arrays["tau"] = np.array([1.0, 2.0])
+    ckpt.save_arrays(tmp_path / "bad.txt", arrays)
+    rc = main(
+        [
+            "distance-graph",
+            "--checkpoint",
+            str(tmp_path / "bad.txt"),
+            "--domains",
+            str(tmp_path / "source.csv"),
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "graph.txt"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "tau must be a scalar" in err
     assert "Traceback" not in err
     assert not (tmp_path / "graph.txt").exists()
 

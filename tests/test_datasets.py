@@ -213,6 +213,9 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
         ("label,f0\n0,1.0\nx,2.0\n", 3, "bad label"),
         ("label,f0\n0,abc\n", 2, "bad feature"),
         ("label,f0\n0,1.0\n?,2.0\n", 2, "mixed"),
+        ("label,f0,f1\n0,1.0,nan\n", 2, "nan feature"),
+        ("label,f0,f1\n0,1.0,2.0\n\n1,-inf,4.0\n", 4, "-inf feature after a blank line"),
+        ("label,f0\n0,1.0\n1,1e999\n", 3, "overflow to inf"),
     ]
     for text, line, why in cases:
         p = tmp_path / "case.csv"

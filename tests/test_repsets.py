@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import assign_labels as oracle_assign_labels
 from oracles import centroids as oracle_centroids
 from oracles import strong_choices as oracle_strong_choices
-from swda.errors import EmptyClassError, InvalidInputError, NotInitializedError
+from swda import repsets
+from swda.errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
 from swda.mathutils import softmax
 from swda.repsets import (
     FusedBatch,
@@ -131,6 +134,121 @@ def test_strong_set_is_deterministic():
     b = update_strong_set(X, V, P)
     for ea, eb in zip(a.entries, b.entries):
         assert np.array_equal(ea.x, eb.x)
+
+
+def test_zero_norm_feature_row_is_degenerate():
+    V = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    C = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateInputError, match="feature row 1"):
+        assign_pseudo_labels(V, C)
+    P = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+    with pytest.raises(DegenerateInputError, match="feature row 1"):
+        update_strong_set(np.zeros((3, 1)), V, P)
+
+
+def test_zero_norm_centroid_is_degenerate():
+    V = np.array([[1.0, 0.0], [0.0, 1.0]])
+    C = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match="centroid 1"):
+        assign_pseudo_labels(V, C)
+
+
+def test_zero_norm_refined_centroid_is_degenerate():
+    # every round-1 centroid is orthogonal to +-e0, so both tie and join
+    # class 0; (0, 1, +-1) go to classes 1 and 2. Class 0's refined
+    # centroid is the mean of e0 and -e0: the zero vector.
+    V = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+    third = 1.0 / 3.0
+    P = np.array([[third] * 3, [third] * 3, [0.2, 0.7, 0.1], [0.2, 0.1, 0.7]])
+    with pytest.raises(DegenerateInputError, match="refined centroid of class 0"):
+        update_strong_set(np.zeros((4, 1)), V, P)
+
+
+def test_empty_centroid_matrix_rejected():
+    with pytest.raises(InvalidInputError):
+        assign_pseudo_labels(np.ones((3, 2)), np.ones((0, 2)))
+
+
+# --- certified nearest search: near-tie cases ---------------------------------
+# Random normals almost never put two table entries within the certificate
+# tolerance of each other. These cases do: each pairs a row with an exact
+# duplicate, a positively scaled copy (same direction, distances equal or an
+# ulp apart) or a copy one nextafter step away, and the nearest neighbour of
+# each row is its pair's direction.
+
+TWIN_KINDS = ("duplicate", "scaled", "nextafter")
+
+
+def twin_rows(base, kind, rng):
+    """Interleave base rows with their near-identical twins."""
+    if kind == "duplicate":
+        twins = base.copy()
+    elif kind == "scaled":
+        twins = base * rng.uniform(0.25, 4.0, size=(base.shape[0], 1))
+    else:
+        twins = np.nextafter(base, np.inf)
+    out = np.empty((2 * base.shape[0], base.shape[1]))
+    out[0::2], out[1::2] = base, twins
+    return out
+
+
+def near_tie_instance(seed, d, kind, half_n=6, half_k=2):
+    rng = np.random.default_rng(seed)
+    C = twin_rows(rng.normal(size=(half_k, d)), kind, rng)
+    # samples: scaled copies of the centroids (so ties decide the label),
+    # plus random directions, each with its own twin
+    base = np.vstack([C[0::2] * rng.uniform(0.5, 2.0, size=(half_k, 1)), rng.normal(size=(half_n - half_k, d))])
+    V = twin_rows(base, kind, rng)
+    logits = rng.normal(size=(V.shape[0], 2 * half_k)) * 3.0
+    P = softmax(logits)
+    P[:, 1] = {"duplicate": P[:, 0], "scaled": 2.0 * P[:, 0], "nextafter": np.nextafter(P[:, 0], 1.0)}[kind]
+    X = rng.normal(size=(V.shape[0], 3))
+    return X, V, P, C
+
+
+def check_against_oracles(X, V, P, C):
+    assert assign_pseudo_labels(V, C).tolist() == oracle_assign_labels(V.tolist(), C.tolist())
+    strong = update_strong_set(X, V, P)
+    picks = oracle_strong_choices(X.tolist(), V.tolist(), P.tolist())
+    for j, i in enumerate(picks):
+        assert np.array_equal(strong.entries[j].x, X[i]), f"class {j}"
+
+
+@pytest.mark.parametrize("d", [2, 32, 256])
+@pytest.mark.parametrize("kind", TWIN_KINDS)
+def test_near_ties_match_oracles_and_reach_reevaluation(monkeypatch, kind, d):
+    calls = []
+    exact = repsets.cosine_distance_with_norms
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(repsets, "cosine_distance_with_norms", counted)
+    check_against_oracles(*near_tie_instance(d, d, kind))
+    assert calls, "no row had two or more candidates"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 32, 256]),
+    kind=st.sampled_from(TWIN_KINDS),
+    half_n=st.integers(2, 8),
+)
+def test_near_ties_match_oracles_property(seed, d, kind, half_n):
+    check_against_oracles(*near_tie_instance(seed, d, kind, half_n=half_n))
+
+
+@pytest.mark.parametrize("scale", [2.0**-300, 2.0**300])
+def test_norms_outside_certified_range_match_oracles(scale):
+    X, V, P, C = near_tie_instance(7, 8, "scaled")
+    V = V * scale
+    assert assign_pseudo_labels(V, C).tolist() == oracle_assign_labels(V.tolist(), C.tolist())
+    assert assign_pseudo_labels(V, C * scale).tolist() == oracle_assign_labels(V.tolist(), (C * scale).tolist())
+    strong = update_strong_set(X, V, P)
+    for j, i in enumerate(oracle_strong_choices(X.tolist(), V.tolist(), P.tolist())):
+        assert np.array_equal(strong.entries[j].x, X[i])
 
 
 # --- weak set -----------------------------------------------------------------
