@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
+import typing
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -33,7 +36,6 @@ from .errors import (
     InvalidDatasetError,
     InvalidInputError,
     NotInitializedError,
-    ParseError,
     SwdaError,
 )
 from .losses import LossWeights
@@ -58,6 +60,23 @@ _NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig)}
 _WEIGHT_KEYS = {f.name: f for f in fields(LossWeights)}
 _EXPERIMENT_KEYS = {f.name: f for f in fields(ExperimentConfig) if f.name not in ("network", "weights")}
 KNOWN_CONFIG_KEYS = {**_NETWORK_KEYS, **_WEIGHT_KEYS, **_EXPERIMENT_KEYS}
+# the JSON values each scalar field annotation accepts, and their name;
+# an int field refuses a bool, a float field refuses nan and infinity
+_ACCEPTS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    int | None: ("an integer or null", lambda v: v is None or type(v) is int),
+}
+# the annotation of every scalar config key (the dataclasses annotate with
+# strings); input_dim and num_classes may be null, meaning "from the data"
+_KEY_TYPES = {
+    key: hint
+    for cls in (NetworkConfig, LossWeights, ExperimentConfig)
+    for key, hint in typing.get_type_hints(cls).items()
+    if key in KNOWN_CONFIG_KEYS and key != "generator_hidden_dims"
+}
+_KEY_TYPES.update(input_dim=int | None, num_classes=int | None)
+
 
 _SPEC_KEYS = {"num_classes", "input_dim", "samples_per_class", "seed", "transforms"}
 _TRANSFORM_KEYS = {"rotation_deg", "translation", "noise_scale", "class_skew"}
@@ -82,22 +101,36 @@ def load_config_file(path) -> dict:
     return cfg
 
 
+def _check_types(cfg: dict) -> None:
+    dims = cfg.get("generator_hidden_dims", [])
+    if not isinstance(dims, (list, tuple)) or any(type(h) is not int or h < 1 for h in dims):
+        raise ConfigError(f"generator_hidden_dims must be a list of positive integers, got {dims!r}")
+    for key, value in cfg.items():
+        if key in _KEY_TYPES:
+            name, accepts = _ACCEPTS[_KEY_TYPES[key]]
+            if not accepts(value):
+                raise ConfigError(f"config {key} must be {name}, got {json.dumps(value)}")
+
+
 def experiment_config_from_dict(cfg: dict, input_dim: int, num_classes: int) -> ExperimentConfig:
     """Materialize an ExperimentConfig; dims from data win over the file,
-    and a conflicting file value is an error rather than silently ignored."""
+    and a conflicting file value is an error rather than silently ignored.
+    Every value must have its field's type; a value out of its field's
+    range (the dataclasses check those) is a ConfigError too."""
+    _check_types(cfg)
     for key, resolved in (("input_dim", input_dim), ("num_classes", num_classes)):
         if cfg.get(key) is not None and cfg[key] != resolved:
             raise ConfigError(f"config {key}={cfg[key]} conflicts with data ({resolved})")
 
-    dims = cfg.get("generator_hidden_dims", [])
-    if not isinstance(dims, (list, tuple)) or any(type(h) is not int or h < 1 for h in dims):
-        raise ConfigError(f"generator_hidden_dims must be a list of positive integers, got {dims!r}")
-
     def given(keys) -> dict:
         return {k: cfg[k] for k in keys if k in cfg}
 
-    network = NetworkConfig(**{**given(_NETWORK_KEYS), "input_dim": input_dim, "num_classes": num_classes})
-    return ExperimentConfig(network=network, weights=LossWeights(**given(_WEIGHT_KEYS)), **given(_EXPERIMENT_KEYS))
+    try:
+        network = NetworkConfig(**{**given(_NETWORK_KEYS), "input_dim": input_dim, "num_classes": num_classes})
+        weights = LossWeights(**given(_WEIGHT_KEYS))
+        return ExperimentConfig(network=network, weights=weights, **given(_EXPERIMENT_KEYS))
+    except InvalidInputError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def _config_epilog() -> str:
@@ -146,7 +179,7 @@ def _resolve_dims(cfg: dict, source: Domain) -> tuple:
     num_classes = cfg.get("num_classes")
     if num_classes is None:
         num_classes = int(source.labels.max()) + 1
-    return input_dim, int(num_classes)
+    return input_dim, num_classes  # a mistyped num_classes fails the config type check
 
 
 def _echo(cfg: dict, **extra) -> dict:
@@ -354,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_ERRORS = (ConfigError, ParseError, InvalidDatasetError, InvalidInputError)
-_NUMERICAL_ERRORS = (DegenerateInputError, EmptyClassError, NotInitializedError, FloatingPointError, OverflowError)
+# ArithmeticError covers FloatingPointError, OverflowError and ZeroDivisionError
+_NUMERICAL_ERRORS = (DegenerateInputError, EmptyClassError, NotInitializedError, ArithmeticError)
 
 
 def main(argv=None) -> int:
@@ -365,13 +398,17 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _CONFIG_ERRORS as exc:
+    except (SwdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SwdaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # last resort: an input no check anticipated still gets a one-line
+        # message naming where it failed and an input-error exit, never a
+        # traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"error: unexpected {type(exc).__name__} at {Path(where.filename).name}:{where.lineno}: {exc}",
+            file=sys.stderr,
+        )
         return 2
 

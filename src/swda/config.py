@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise InvalidInputError("strong_refresh_period must be >= 1")
         if min(self.eta0_head, self.eta0_generator) <= 0.0:
             raise InvalidInputError("learning rates must be positive")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.num_runs < 1:
             raise InvalidInputError("num_runs must be >= 1")
         if self.source_iterations is not None and self.source_iterations < 0:

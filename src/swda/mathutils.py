@@ -6,10 +6,15 @@ any two code paths that evaluate the same formula on the same operands
 agree bit for bit. The distance graph relies on that, and the
 nearest-centroid searches in ``repsets`` use these fsum distances as the
 reference that their certified BLAS tables are checked against.
+
+``serial_blas`` pins the loaded OpenBLAS to one thread while a trainer
+runs; see its docstring for why that is safe and faster.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from typing import Callable
 
@@ -52,7 +57,8 @@ def exact_norm(v: Array) -> float:
 
 
 def cosine_distance_with_norms(a: Array, b: Array, norm_a: float, norm_b: float) -> float:
-    """Cosine distance when the operand norms are already known (and nonzero)."""
+    """Cosine distance when the operand norms are already known (finite and
+    nonzero); a nan would clip to 0.0, so callers check norms first."""
     dot = math.fsum((a * b).tolist())
     d = 1.0 - dot / (norm_a * norm_b)
     return min(2.0, max(0.0, d))
@@ -68,6 +74,8 @@ def cosine_distance(a, b) -> float:
     nb = exact_norm(y)
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine distance of a zero vector is undefined")
+    if not (math.isfinite(na) and math.isfinite(nb)):
+        raise DegenerateInputError("cosine distance of a non-finite vector (or an overflowing norm) is undefined")
     return cosine_distance_with_norms(x, y, na, nb)
 
 
@@ -87,3 +95,62 @@ def finite_diff_gradient(f: Callable[[Array], float], x, eps: float = FD_EPS) ->
         x0[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad
+
+
+# where Linux lists the shared objects mapped into this process
+_PROC_MAPS = "/proc/self/maps"
+# (get, set) thread-count entry points of numpy's bundled OpenBLAS and of
+# a system OpenBLAS, with and without the 64-bit-integer symbol suffix
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None when there is none (another BLAS, or no /proc)."""
+    try:
+        with open(_PROC_MAPS) as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                set_.restype = None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the block (or, as a decorator, each call) with OpenBLAS on one
+    thread and restore the previous thread count afterwards.
+
+    Training multiplies small batches (48 rows by default), too small for
+    a second BLAS thread to help; the extra thread only spins, and in a
+    process pool it takes a core from the other worker. dgemm does not split a dot product's
+    reduction across threads, so results are bit-identical at any count.
+    Without a mapped OpenBLAS this does nothing. The count is process-wide:
+    trainers running concurrently in threads of one process share it.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

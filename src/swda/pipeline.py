@@ -16,6 +16,7 @@ for peer pseudo samples at fusion time, re-drawn every iteration.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -40,6 +41,7 @@ from .losses import (
     info_max_loss,
     strong_weak_loss,
 )
+from .mathutils import serial_blas
 from .network import (
     NetworkParams,
     add_trees,
@@ -67,6 +69,8 @@ from .scaffolding import (
     replace_with_peers,
     train_source_only,
 )
+
+log = logging.getLogger(__name__)
 
 # sub-seed tags for nested runs
 _TAG_REPEAT = 5
@@ -107,6 +111,7 @@ def evaluate(params: NetworkParams, domain: Domain) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == domain.labels))
 
 
+@serial_blas()
 def _adaptation_run(
     config: ExperimentConfig,
     source: Domain,
@@ -118,6 +123,13 @@ def _adaptation_run(
         raise InvalidDatasetError(f"target domain {target.name!r} is empty")
     if target.samples.shape[1] != source.samples.shape[1]:
         raise InvalidInputError("source and target dimensionality differ")
+    if config.strong_refresh_period >= config.max_iterations:
+        log.warning(
+            "strong_refresh_period %d >= max_iterations %d: no strong set exists before the "
+            "last iteration, so the strong-weak loss L_SW never runs",
+            config.strong_refresh_period,
+            config.max_iterations,
+        )
 
     start = time.perf_counter()
     w = config.weights

@@ -111,12 +111,16 @@ def _in_safe_range(norms: Array) -> Array:
 
 
 def _row_norms(M: Array, what: str, ids=None) -> Array:
-    """Exact norm of every row; a zero row (row ``ids[r]`` in messages) raises."""
+    """Exact norm of every row. A zero row, or one whose norm is not finite
+    (a nan or inf entry, or an overflowing square), raises; ``ids[r]``
+    names row r in the message. A nan norm would otherwise make every
+    fsum distance nan, which cosine_distance_with_norms clips to 0.0."""
     norms = np.array([exact_norm(row) for row in M])
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        row = zero[0] if ids is None else ids[zero[0]]
-        raise DegenerateInputError(f"{what} {row} has zero norm; its cosine distance is undefined")
+    for bad, why in ((norms == 0.0, "zero"), (~np.isfinite(norms), "non-finite")):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            row = rows[0] if ids is None else ids[rows[0]]
+            raise DegenerateInputError(f"{what} {row} has {why} norm; its cosine distance is undefined")
     return norms
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NotInitializedError,
 )
 from .losses import cross_entropy
-from .mathutils import Array, cosine_distance
+from .mathutils import Array, cosine_distance, serial_blas
 from .network import (
     NetworkParams,
     backward,
@@ -72,6 +72,7 @@ def check_source_classes(domain: Domain, num_classes: int) -> None:
         raise InvalidDatasetError(f"domain {domain.name!r} is missing classes {missing}")
 
 
+@serial_blas()
 def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams:
     """Cross-entropy training on the labeled source with early stopping.
 

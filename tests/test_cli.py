@@ -13,6 +13,7 @@ import pytest
 
 import swda
 from swda import checkpoint as ckpt
+from swda import cli
 from swda.cli import main
 from swda.config import ExperimentConfig
 from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, save_csv
@@ -305,6 +306,78 @@ def test_generator_hidden_dims_must_be_positive_int_list_exit_2(tmp_path, capsys
     )
     assert rc == 2
     assert "generator_hidden_dims must be a list of positive integers" in capsys.readouterr().err
+
+
+def run_train_single(tmp_path, cfg_path):
+    return main(
+        [
+            "train-single",
+            "--config",
+            str(cfg_path),
+            "--source",
+            str(tmp_path / "source.csv"),
+            "--target",
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "run"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("seed", "-1", "seed must be >= 0"),
+        ("max_iterations", '"300"', "max_iterations must be an integer"),
+        ("max_iterations", "5.5", "max_iterations must be an integer"),
+        ("max_iterations", "true", "max_iterations must be an integer"),
+        ("batch_size", "1e400", "batch_size must be an integer"),
+        ("tau", '"x"', "tau must be a finite number"),
+        ("tau", "1e400", "tau must be a finite number"),
+        ("lam", '"0.5"', "lam must be a finite number"),
+        ("lam", "NaN", "lam must be a finite number"),
+        ("k1", "false", "k1 must be a finite number"),
+        ("source_iterations", "2.0", "source_iterations must be an integer or null"),
+        ("num_classes", '"3"', "num_classes must be an integer or null"),
+    ],
+)
+def test_config_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, key, raw, message):
+    # the raw JSON text is written as is: 1e400 and NaN only exist as literals
+    write_dataset(tmp_path)
+    doc = {k: v for k, v in SMALL_CONFIG.items() if k != key}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc)[:-1] + f', "{key}": {raw}}}')
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_unexpected_exception_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    monkeypatch.setattr(cli, "train_single_target", broken)
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unexpected RuntimeError at test_cli.py:") and err.endswith(": boom\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("iterations, period, warns", [(20, 30, True), (30, 30, True), (31, 30, False)])
+def test_refresh_period_not_shorter_than_run_warns(tmp_path, caplog, iterations, period, warns):
+    # a strong set first built at (or after) the last iteration never feeds
+    # L_SW, which would otherwise silently stay off for the whole run
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, extra={"max_iterations": iterations, "strong_refresh_period": period})
+    assert run_train_single(tmp_path, cfg_path) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == int(warns)
+    assert all(w.startswith(f"strong_refresh_period {period} >= max_iterations {iterations}:") for w in warnings)
+    sw = json.loads((tmp_path / "run" / "metrics.json").read_text())["loss_sw"]
+    assert any(sw) != warns
 
 
 def test_missing_config_file_exit_2(tmp_path):

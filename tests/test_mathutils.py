@@ -75,6 +75,16 @@ def test_cosine_distance_zero_vector_raises():
         cosine_distance(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_cosine_distance_non_finite_raises(bad):
+    # unchecked, the nan distance of [nan, 1] and [1, 0] would clip to 0.0
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        cosine_distance(np.array([bad, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        cosine_distance(np.array([1.0, 0.0]), np.array([bad, 1.0]))
+
+
 def test_finite_diff_gradient_quadratic():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swda import mathutils, pipeline
 from swda.config import ExperimentConfig
 from swda.datasets import IDENTITY, DomainTransform, SyntheticSpec, generate
 from swda.errors import InvalidDatasetError, InvalidInputError
@@ -21,6 +22,7 @@ from swda.pipeline import (
     train_multi_target,
     train_single_target,
 )
+from swda.scaffolding import train_source_only
 
 
 def tiny_problem(seed: int = 0, shift: bool = True):
@@ -215,6 +217,66 @@ def test_multi_target_jobs_deterministic():
         for layer in (*pp.generator, pp.bottleneck):
             assert np.shares_memory(layer.weight, pp.flat) and np.shares_memory(layer.bias, pp.flat)
         assert np.shares_memory(pp.classifier, pp.flat)
+
+
+def openblas_or_skip():
+    threads = mathutils._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    return threads
+
+
+def test_training_runs_on_one_blas_thread_and_restores_count(monkeypatch):
+    get, set_ = openblas_or_skip()
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return update_strong_set(*args, **kwargs)
+
+    update_strong_set = pipeline.update_strong_set
+    monkeypatch.setattr(pipeline, "update_strong_set", recording)
+    before = get()
+    set_(2)
+    try:
+        source, target = tiny_problem()
+        train_single_target(tiny_config(), source, target)
+        assert seen == [1, 1, 1]
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_serial_blas_restores_count_when_the_block_raises():
+    get, set_ = openblas_or_skip()
+    before = get()
+    set_(2)
+    try:
+        source, target = tiny_problem()
+        with pytest.raises(InvalidDatasetError, match="is empty"):
+            train_single_target(tiny_config(), source, replace(target, samples=target.samples[:0], labels=None))
+        assert get() == 2
+        with pytest.raises(InvalidDatasetError, match="missing classes"):
+            train_source_only(tiny_config(), replace(source, labels=np.zeros_like(source.labels)))
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_serial_blas_does_nothing_without_openblas(monkeypatch, tmp_path):
+    get, set_ = openblas_or_skip()
+    maps = tmp_path / "maps"
+    maps.write_text("7f0000000000-7f0000001000 r-xp 00000000 00:00 0  /usr/lib/libblas.so.3\n")
+    monkeypatch.setattr(mathutils, "_PROC_MAPS", str(maps))
+    assert mathutils._openblas_threads() is None
+    before = get()
+    set_(2)
+    try:
+        with mathutils.serial_blas():
+            assert get() == 2
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 def test_part3_seed_distinct_per_target():

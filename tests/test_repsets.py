@@ -164,6 +164,19 @@ def test_zero_norm_refined_centroid_is_degenerate():
         update_strong_set(np.zeros((4, 1)), V, P)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_non_finite_norm_is_degenerate(bad):
+    # unchecked, a nan norm makes every fsum distance nan, which clips to 0.0
+    # ("perfectly aligned"), so [nan, 1] would take class 0 although it points
+    # at class 1. An inf entry or an overflowing square gives an inf norm.
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match="feature row 1 has non-finite norm"):
+        assign_pseudo_labels(np.array([[1.0, 0.0], [bad, 1.0]]), C)
+    with pytest.raises(DegenerateInputError, match="centroid 0 has non-finite norm"):
+        assign_pseudo_labels(C, np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
 def test_empty_centroid_matrix_rejected():
     with pytest.raises(InvalidInputError):
         assign_pseudo_labels(np.ones((3, 2)), np.ones((0, 2)))
