@@ -37,7 +37,6 @@ from .pipeline import (
     RunMetrics,
     evaluate,
     part3_seed,
-    repeat_single_target,
     train_multi_target,
     train_single_target,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "make_between_geometry",
     "part3_seed",
     "peer_qualifies",
-    "repeat_single_target",
     "save_csv",
     "standard_between_spec",
     "standard_shift_spec",

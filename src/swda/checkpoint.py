@@ -88,9 +88,14 @@ def load_arrays(path) -> dict:
             _, kind, _, needed, values = current
             for tok in parts:
                 try:
-                    values.append(int(tok) if kind == "i64" else float.fromhex(tok))
+                    value = int(tok) if kind == "i64" else float.fromhex(tok)
                 except ValueError:
                     raise ParseError(f"bad {kind} token {tok!r}", line=line_no)
+                # save_arrays writes only finite float64 and int64 values; a
+                # damaged token is bad input here, not a numerical error later
+                if not (math.isfinite(value) if kind == "f64" else -(2**63) <= value < 2**63):
+                    raise ParseError(f"{kind} token {tok!r} is not a finite 64-bit value", line=line_no)
+                values.append(value)
             if len(values) > needed:
                 raise ParseError(f"too many values for key {current[0]!r}", line=line_no)
     if current is not None:

@@ -182,10 +182,16 @@ def _resolve_dims(cfg: dict, source: Domain) -> tuple:
     return input_dim, num_classes  # a mistyped num_classes fails the config type check
 
 
-def _echo(cfg: dict, **extra) -> dict:
-    doc = dict(cfg)
-    doc.update(extra)
-    return doc
+def _config_echo(cfg: dict, config: ExperimentConfig, source: Domain, target: Domain) -> dict:
+    """The "config" block of a run's metrics.json: the config file's keys
+    plus the resolved dims and the two domain names."""
+    return {
+        **cfg,
+        "input_dim": config.network.input_dim,
+        "num_classes": config.network.num_classes,
+        "source": source.name,
+        "target": target.name,
+    }
 
 
 def _write_run_outputs(out_dir: Path, params, metrics, echo: dict, pseudo=None) -> None:
@@ -219,14 +225,7 @@ def cmd_train_single(args) -> int:
     target = load_csv(args.target)
     config = experiment_config_from_dict(cfg, *_resolve_dims(cfg, source))
     params, metrics, pseudo = train_single_target(config, source, target)
-    echo = _echo(
-        cfg,
-        input_dim=config.network.input_dim,
-        num_classes=config.network.num_classes,
-        source=source.name,
-        target=target.name,
-    )
-    _write_run_outputs(Path(args.out), params, metrics, echo, pseudo)
+    _write_run_outputs(Path(args.out), params, metrics, _config_echo(cfg, config, source, target), pseudo)
     if metrics.final_accuracy is not None:
         print(f"final target accuracy: {metrics.final_accuracy!r}")
     return 0
@@ -241,14 +240,7 @@ def cmd_train_multi(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for target, (params, metrics) in zip(targets, result.per_target):
-        echo = _echo(
-            cfg,
-            input_dim=config.network.input_dim,
-            num_classes=config.network.num_classes,
-            source=source.name,
-            target=target.name,
-        )
-        _write_run_outputs(out / target.name, params, metrics, echo)
+        _write_run_outputs(out / target.name, params, metrics, _config_echo(cfg, config, source, target))
         if metrics.final_accuracy is not None:
             print(f"{target.name}: final accuracy {metrics.final_accuracy!r}")
     names = [source.name] + [t.name for t in targets]

@@ -44,7 +44,6 @@ class ExperimentConfig:
     eta0_head: float = 0.01  # bottleneck + classifier
     eta0_generator: float = 0.001
     seed: int = 0
-    num_runs: int = 3
     source_iterations: int | None = None  # None: reuse max_iterations
     source_eval_period: int = 50
     accuracy_eval_period: int = 100
@@ -61,8 +60,6 @@ class ExperimentConfig:
             raise InvalidInputError("learning rates must be positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
-        if self.num_runs < 1:
-            raise InvalidInputError("num_runs must be >= 1")
         if self.source_iterations is not None and self.source_iterations < 0:
             raise InvalidInputError("source_iterations must be >= 0")
         if self.source_eval_period < 1:

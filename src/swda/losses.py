@@ -43,11 +43,6 @@ class LossWeights:
             raise InvalidInputError(f"threshold lam={self.lam} outside (0, 1]")
 
 
-def _check_probs(probs) -> Array:
-    p = as_float_array(probs, ndim=2)
-    return p
-
-
 def _check_labels(labels, n: int, k: int) -> Array:
     y = np.asarray(labels)
     if y.shape != (n,):
@@ -65,7 +60,7 @@ def _softmax_chain(probs: Array, dloss_dprobs: Array) -> Array:
 
 def cross_entropy(probs, labels) -> LossOutput:
     """Mean negative log-probability of the true class."""
-    p = _check_probs(probs)
+    p = as_float_array(probs, ndim=2)
     n, k = p.shape
     if n == 0:
         raise InvalidInputError("cross_entropy needs a non-empty batch")
@@ -88,7 +83,7 @@ def info_max_loss(probs) -> LossOutput:
     column mean of probs. Minimized (at -log k) by confident predictions
     spread uniformly across classes.
     """
-    p = _check_probs(probs)
+    p = as_float_array(probs, ndim=2)
     n, _ = p.shape
     if n == 0:
         raise InvalidInputError("info_max_loss needs a non-empty batch")
@@ -109,7 +104,7 @@ def adversarial_logit_loss(logits, probs, lam: float) -> LossOutput:
     differentiation, so the gradient is 1/n at each gated argmax position.
     """
     l = as_float_array(logits, ndim=2)
-    p = _check_probs(probs)
+    p = as_float_array(probs, ndim=2)
     if l.shape != p.shape:
         raise InvalidInputError(f"logits {l.shape} and probs {p.shape} shape mismatch")
     n, _ = l.shape
@@ -127,7 +122,7 @@ def strong_weak_loss(probs, pseudo_labels) -> LossOutput:
     """Mean (1 - p at the pseudo-label); its derivative wrt that probability
     is the constant -1/n, so supervision strength does not fade as the
     prediction approaches the pseudo-label."""
-    p = _check_probs(probs)
+    p = as_float_array(probs, ndim=2)
     n, k = p.shape
     if n == 0:
         return LossOutput(0.0, np.zeros((0, k)))

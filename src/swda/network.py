@@ -5,10 +5,11 @@ feature scaling (each feature row rescaled to norm tau) -> bias-free
 prototype classifier whose logits are inner products between the scaled
 feature and each class prototype row.
 
-Also provides the momentum-SGD optimizer and the inverse-power
-learning-rate decay used by every trainer, plus an optional gradient sign
-reversal between the classifier and the rest of the network so a single
-loss can be minimized by the classifier while the feature path ascends it.
+Also provides the momentum-SGD optimizer, which keeps its state in one
+flat velocity buffer, and the inverse-power learning-rate decay used by
+every trainer, plus an optional gradient sign reversal between the
+classifier and the rest of the network so a single loss can be minimized
+by the classifier while the feature path ascends it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .mathutils import Array, as_float_array, softmax
+
+MOMENTUM = 0.9  # sgd_step's velocity decay
 
 
 @dataclass
@@ -175,6 +178,8 @@ def forward(params: NetworkParams, inputs) -> ForwardResult:
         raise DegenerateInputError("a bottleneck feature row has zero norm; cannot scale to tau")
     norm_features = raw * (params.tau / norms)[:, None]
     logits = norm_features @ params.classifier.T
+    if not np.all(np.isfinite(logits)):
+        raise DegenerateInputError("non-finite logits: the inputs are not finite, or the parameters have diverged")
     probs = softmax(logits)
     return ForwardResult(x, hidden, raw, norms, norm_features, logits, probs)
 
@@ -223,40 +228,23 @@ def backward(
     return grads
 
 
-@dataclass
-class OptimizerState:
-    buffers: Array  # one momentum entry per entry of params.flat
-    momentum: float = 0.9
-    iteration: int = 0
+def sgd_step(params: NetworkParams, grads: Gradients, velocity: Array, lr: float, generator_lr: float) -> None:
+    """In-place momentum update: velocity <- MOMENTUM*velocity + grad;
+    param <- param - step*velocity.
 
-
-def init_optimizer_state(params: NetworkParams, momentum: float = 0.9) -> OptimizerState:
-    return OptimizerState(np.zeros_like(params.flat), momentum)
-
-
-def sgd_step(
-    params: NetworkParams,
-    grads: Gradients,
-    state: OptimizerState,
-    lr: float,
-    generator_lr: float | None = None,
-) -> None:
-    """In-place momentum update: buffer <- m*buffer + grad; param <- param - lr*buffer.
-
-    ``generator_lr`` overrides the step size for the generator prefix of
-    ``flat`` so the feature extractor can train slower than the bottleneck
-    and classifier.
+    ``velocity`` holds one entry per entry of ``params.flat``, zeros before
+    the first step. The generator prefix of ``flat`` steps by
+    ``generator_lr`` so the feature extractor can train slower than the
+    bottleneck and classifier, which step by ``lr``.
     """
-    if lr <= 0.0:
+    if min(lr, generator_lr) <= 0.0:
         raise InvalidInputError("learning rate must be positive")
-    gen_lr = lr if generator_lr is None else generator_lr
     g = params.generator_size
-    for part, step in ((slice(None, g), gen_lr), (slice(g, None), lr)):
-        buf = state.buffers[part]
-        buf *= state.momentum
+    for part, step in ((slice(None, g), generator_lr), (slice(g, None), lr)):
+        buf = velocity[part]
+        buf *= MOMENTUM
         buf += grads.flat[part]
         params.flat[part] -= step * buf
-    state.iteration += 1
 
 
 def lr_schedule(q: float, eta0: float, a: float = 10.0, b: float = 0.75) -> float:

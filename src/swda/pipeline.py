@@ -47,7 +47,6 @@ from .network import (
     add_trees,
     backward,
     forward,
-    init_optimizer_state,
     init_params,
     lr_schedule,
     sgd_step,
@@ -73,7 +72,6 @@ from .scaffolding import (
 log = logging.getLogger(__name__)
 
 # sub-seed tags for nested runs
-_TAG_REPEAT = 5
 _TAG_PART1 = 10
 _TAG_PART2 = 11
 _TAG_PART3 = 12
@@ -111,6 +109,16 @@ def evaluate(params: NetworkParams, domain: Domain) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == domain.labels))
 
 
+def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
+    if config.strong_refresh_period >= config.max_iterations:
+        log.warning(
+            "strong_refresh_period %d >= max_iterations %d: no strong set exists before the "
+            "last iteration, so the strong-weak loss L_SW never runs",
+            config.strong_refresh_period,
+            config.max_iterations,
+        )
+
+
 @serial_blas()
 def _adaptation_run(
     config: ExperimentConfig,
@@ -123,18 +131,11 @@ def _adaptation_run(
         raise InvalidDatasetError(f"target domain {target.name!r} is empty")
     if target.samples.shape[1] != source.samples.shape[1]:
         raise InvalidInputError("source and target dimensionality differ")
-    if config.strong_refresh_period >= config.max_iterations:
-        log.warning(
-            "strong_refresh_period %d >= max_iterations %d: no strong set exists before the "
-            "last iteration, so the strong-weak loss L_SW never runs",
-            config.strong_refresh_period,
-            config.max_iterations,
-        )
 
     start = time.perf_counter()
     w = config.weights
     params = init_params(config.network, config.seed)
-    state = init_optimizer_state(params)
+    velocity = np.zeros_like(params.flat)
     src_sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
     tgt_sampler = BatchSampler(target.n, config.batch_size, stream_rng(config.seed, STREAM_TARGET))
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
@@ -152,7 +153,7 @@ def _adaptation_run(
         idx = src_sampler.next_batch()
         fwd_s = forward(params, source.samples[idx])
         ce = cross_entropy(fwd_s.probs, source.labels[idx])
-        sgd_step(params, backward(params, fwd_s, ce.grad_wrt_logits), state, lr_head, lr_gen)
+        sgd_step(params, backward(params, fwd_s, ce.grad_wrt_logits), velocity, lr_head, lr_gen)
 
         # (2) unsupervised losses on a target batch
         tidx = tgt_sampler.next_batch()
@@ -184,7 +185,7 @@ def _adaptation_run(
                 grads = add_trees(grads, backward(params, fwd_sw, w.k3 * sw.grad_wrt_logits))
 
         # (4) one optimizer step for the combined target objective
-        sgd_step(params, grads, state, lr_head, lr_gen)
+        sgd_step(params, grads, velocity, lr_head, lr_gen)
 
         # (5) weak set follows every batch
         weak = update_weak_set(weak, target.samples[tidx], fwd_t.probs, w.lam)
@@ -213,6 +214,7 @@ def _adaptation_run(
 def train_single_target(config: ExperimentConfig, source: Domain, target: Domain):
     """Adaptation to one unlabeled target; returns (params, metrics,
     harvested pseudo strong set)."""
+    _warn_if_no_strong_set(config)
     return _adaptation_run(config, source, target, peer_ctx=None)
 
 
@@ -227,16 +229,14 @@ class MultiTargetResult:
 def _part1_task(args):
     config, source, target, slot = args
     cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART1, slot))
-    _, _, pseudo = train_single_target(cfg, source, target)
+    _, _, pseudo = _adaptation_run(cfg, source, target, peer_ctx=None)
     return slot, pseudo
 
 
 def _part3_task(args):
-    config, source, target, slot, graph, peers, enable_replacement = args
+    config, source, target, slot, graph, peers = args
     cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART3, slot))
-    ctx = None
-    if enable_replacement:
-        ctx = PeerContext(graph, slot, peers, stream_rng(cfg.seed, STREAM_PEER))
+    ctx = PeerContext(graph, slot, peers, stream_rng(cfg.seed, STREAM_PEER))
     params, metrics, _ = _adaptation_run(cfg, source, target, ctx)
     return slot, params, metrics
 
@@ -253,7 +253,6 @@ def train_multi_target(
     source: Domain,
     targets: list,
     jobs: int = 1,
-    enable_replacement: bool = True,
 ) -> MultiTargetResult:
     """Three-part multi-target adaptation.
 
@@ -262,11 +261,12 @@ def train_multi_target(
     frozen class-wise distance graph over source + targets. Part 3
     re-trains each target from a fresh initialization, replacing strong
     entries with qualifying peers' pseudo samples after every refresh.
-    ``enable_replacement=False`` turns part 3 into plain single-target
-    runs (used to isolate the contribution of peer scaffolding).
+    To isolate what peer scaffolding adds, compare each part-3 run with
+    the single-target run seeded by part3_seed.
     """
     if not targets:
         raise InvalidInputError("need at least one target domain")
+    _warn_if_no_strong_set(config)
 
     part1 = _run_tasks(
         _part1_task,
@@ -282,15 +282,7 @@ def train_multi_target(
     part3 = _run_tasks(
         _part3_task,
         [
-            (
-                config,
-                source,
-                t,
-                slot,
-                graph,
-                {j: ps for j, ps in pseudo_sets.items() if j != slot},
-                enable_replacement,
-            )
+            (config, source, t, slot, graph, {j: ps for j, ps in pseudo_sets.items() if j != slot})
             for slot, t in enumerate(targets, start=1)
         ],
         jobs,
@@ -308,19 +300,6 @@ def part3_seed(config_seed: int, target_index: int) -> int:
     peer replacement; ablations can compare them as matched pairs.
     """
     return derive_seed(config_seed, _TAG_PART3, target_index + 1)
-
-
-def repeat_single_target(config: ExperimentConfig, source: Domain, target: Domain):
-    """num_runs independently seeded runs; returns (metrics list, mean final
-    accuracy)."""
-    all_metrics = []
-    for r in range(config.num_runs):
-        cfg = replace(config, seed=derive_seed(config.seed, _TAG_REPEAT, r))
-        _, metrics, _ = train_single_target(cfg, source, target)
-        all_metrics.append(metrics)
-    finals = [m.final_accuracy for m in all_metrics if m.final_accuracy is not None]
-    mean_final = float(np.mean(finals)) if finals else None
-    return all_metrics, mean_final
 
 
 # --- metrics export -----------------------------------------------------------

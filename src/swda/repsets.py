@@ -206,6 +206,18 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
     return StrongSet([StrongEntry(X[i].copy(), domain) for i in picks])
 
 
+def _confident_ranking(P: Array, lam: float) -> tuple:
+    """(ranking, top_p): ranking[j] lists the rows whose argmax is class j
+    with probability above lam, best first, ties to the lowest row;
+    top_p[i] is row i's largest probability."""
+    n, k = P.shape
+    top = np.argmax(P, axis=1)  # ties break to the lowest class
+    top_p = P[np.arange(n), top]
+    rows = np.flatnonzero(top_p > lam)
+    rows = rows[np.lexsort((-top_p[rows], top[rows]))]  # stable: equal keys keep row order
+    return np.split(rows, np.searchsorted(top[rows], np.arange(1, k))), top_p
+
+
 def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
     """Per-batch threshold replacement: for each class that is some row's
     argmax with probability above lam, store that batch's best such sample.
@@ -214,18 +226,14 @@ def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
     P = as_float_array(probs, ndim=2)
     if X.shape[0] != P.shape[0]:
         raise InvalidInputError("inputs row count does not match probs")
-    n, k = P.shape
+    k = P.shape[1]
     if len(weak.entries) != k:
         raise InvalidInputError(f"weak set has {len(weak.entries)} classes, probs has {k}")
     entries = list(weak.entries)
-    if n:
-        top = np.argmax(P, axis=1)
-        top_p = P[np.arange(n), top]
-        for j in range(k):
-            rows = np.flatnonzero((top == j) & (top_p > lam))
-            if rows.size:
-                best = int(rows[np.argmax(top_p[rows])])
-                entries[j] = WeakEntry(X[best].copy(), float(top_p[best]))
+    ranking, top_p = _confident_ranking(P, lam)
+    for j, rows in enumerate(ranking):
+        if rows.size:
+            entries[j] = WeakEntry(X[rows[0]].copy(), float(top_p[rows[0]]))
     return WeakSet(entries)
 
 
@@ -277,16 +285,8 @@ def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStr
         raise InvalidInputError("inputs row count does not match probs")
     if cap < 1:
         raise InvalidInputError("cap must be >= 1")
-    n, k = P.shape
-    pools = [[] for _ in range(k)]
-    if n:
-        top = np.argmax(P, axis=1)
-        top_p = P[np.arange(n), top]
-        for j in range(k):
-            rows = np.flatnonzero((top == j) & (top_p > lam))
-            order = rows[np.argsort(-top_p[rows], kind="stable")][:cap]
-            pools[j] = [X[int(i)].copy() for i in order]
-    return PseudoStrongSet(pools)
+    ranking, _ = _confident_ranking(P, lam)
+    return PseudoStrongSet([[X[i].copy() for i in rows[:cap]] for rows in ranking])
 
 
 # --- checkpoint-format serialization -----------------------------------------

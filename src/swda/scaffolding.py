@@ -33,7 +33,6 @@ from .network import (
     NetworkParams,
     backward,
     forward,
-    init_optimizer_state,
     init_params,
     lr_schedule,
     sgd_step,
@@ -67,6 +66,9 @@ def check_source_classes(domain: Domain, num_classes: int) -> None:
     if domain.labels is None:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels")
     present = set(int(c) for c in domain.labels)
+    outside = sorted(c for c in present if not 0 <= c < num_classes)
+    if outside:
+        raise InvalidDatasetError(f"domain {domain.name!r} has labels {outside} outside [0, {num_classes})")
     missing = [c for c in range(num_classes) if c not in present]
     if missing:
         raise InvalidDatasetError(f"domain {domain.name!r} is missing classes {missing}")
@@ -86,7 +88,7 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
     best_params = params.copy()
     if budget == 0:
         return best_params
-    state = init_optimizer_state(params)
+    velocity = np.zeros_like(params.flat)
     sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
 
     best_acc = -1.0
@@ -100,7 +102,7 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
         sgd_step(
             params,
             grads,
-            state,
+            velocity,
             lr_schedule(q, config.eta0_head, config.schedule_a, config.schedule_b),
             lr_schedule(q, config.eta0_generator, config.schedule_a, config.schedule_b),
         )

@@ -87,6 +87,9 @@ def test_parse_error_reports_line_numbers(tmp_path):
         (f"{HEADER}\nkey a f64 2\n0x1p+0 0x1p+0 0x1p+0\n", 3),  # too many values
         (f"{HEADER}\nkey a f64 2\n0x1p+0\n", 3),  # too few values at EOF
         (f"{HEADER}\nkey a f64 1\n0x1p+0\nkey a f64 1\n0x1p+0\n", 4),  # duplicate
+        (f"{HEADER}\nkey a f64 2\n0x1p+0 nan\n", 3),  # nan, which save_arrays never writes
+        (f"{HEADER}\nkey a f64 1\n\n-inf\n", 4),  # infinity after a blank line
+        (f"{HEADER}\nkey a i64 2\n1 {2**63}\n", 3),  # beyond int64
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as err:

@@ -380,6 +380,46 @@ def test_refresh_period_not_shorter_than_run_warns(tmp_path, caplog, iterations,
     assert any(sw) != warns
 
 
+def test_num_runs_config_key_exit_2(tmp_path, capsys):
+    # repeated runs are train-single with different seeds, aggregated by report
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, extra={"num_runs": 3})
+    assert run_train_single(tmp_path, cfg_path) == 2
+    assert "unknown config keys ['num_runs']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("extra", [{"tau": 1e308}, {"k1": 1e300}], ids=["tau", "k1"])
+def test_diverging_run_exit_3(tmp_path, capsys, extra):
+    # the network's own non-finite logits are a numerical failure, not an
+    # input error
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, extra={**extra, "max_iterations": 40})
+    assert run_train_single(tmp_path, cfg_path) == 3
+    err = capsys.readouterr().err
+    assert "error: non-finite logits" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "label, num_classes, message",
+    [("-1", None, "line 6: negative label -1"), ("9", 3, "has labels [9] outside [0, 3)")],
+    ids=["negative", "outside-num-classes"],
+)
+def test_bad_source_label_exit_2(tmp_path, capsys, label, num_classes, message):
+    # caught where the data is loaded, not when a batch first draws the row
+    write_dataset(tmp_path)
+    lines = (tmp_path / "source.csv").read_text().splitlines()
+    lines[5] = label + "," + lines[5].split(",", 1)[1]
+    (tmp_path / "source.csv").write_text("\n".join(lines) + "\n")
+    cfg_path, _ = write_config(tmp_path, extra={"num_classes": num_classes})
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_file_exit_2(tmp_path):
     write_dataset(tmp_path)
     rc = main(
@@ -474,6 +514,32 @@ def test_zero_weight_checkpoint_exit_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_nan_checkpoint_value_exit_2(tmp_path, capsys):
+    # a damaged checkpoint is bad input, caught on the line that holds it
+    write_dataset(tmp_path)
+    params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(16,), bottleneck_dim=8), seed=0)
+    ckpt.save_params(tmp_path / "ckpt.txt", params)
+    lines = (tmp_path / "ckpt.txt").read_text().splitlines()
+    lines[2] = "nan " + lines[2].split(" ", 1)[1]
+    (tmp_path / "ckpt.txt").write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "distance-graph",
+            "--checkpoint",
+            str(tmp_path / "ckpt.txt"),
+            "--domains",
+            str(tmp_path / "source.csv"),
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "graph.txt"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 3: f64 token 'nan' is not a finite 64-bit value" in err and "Traceback" not in err
+    assert not (tmp_path / "graph.txt").exists()
 
 
 def test_distance_graph_report(tmp_path):

@@ -37,11 +37,11 @@ def test_defaults_valid():
         {"strong_refresh_period": 0},
         {"eta0_head": 0.0},
         {"eta0_generator": -1e-3},
-        {"num_runs": 0},
         {"source_iterations": -1},
         {"source_eval_period": 0},
         {"accuracy_eval_period": 0},
         {"pseudo_pool_cap": 0},
+        {"seed": -1},
     ],
 )
 def test_invalid_config_rejected(kw):

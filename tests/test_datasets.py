@@ -211,6 +211,7 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
         ("label,f0,f2\n0,1.0,2.0\n", 1, "bad header"),
         ("label,f0\n0,1.0,2.0\n", 2, "field count"),
         ("label,f0\n0,1.0\nx,2.0\n", 3, "bad label"),
+        ("label,f0\n0,1.0\n-1,2.0\n", 3, "negative label"),
         ("label,f0\n0,abc\n", 2, "bad feature"),
         ("label,f0\n0,1.0\n?,2.0\n", 2, "mixed"),
         ("label,f0,f1\n0,1.0,nan\n", 2, "nan feature"),

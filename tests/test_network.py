@@ -10,11 +10,9 @@ from swda.mathutils import finite_diff_gradient
 from swda.network import (
     Linear,
     NetworkConfig,
-    OptimizerState,
     ParamTree,
     backward,
     forward,
-    init_optimizer_state,
     init_params,
     lr_schedule,
     sgd_step,
@@ -112,6 +110,17 @@ def test_forward_zero_feature_row_raises():
         forward(params, np.ones((2, 4)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [np.inf, 1e308])
+def test_forward_non_finite_logits_raise(scale):
+    # an infinite classifier, or a finite one whose logits overflow, is a
+    # diverged network: a numerical failure, not bad caller input
+    params = init_params(SMALL, 0)
+    params.classifier[...] *= scale
+    with pytest.raises(DegenerateInputError, match="non-finite logits"):
+        forward(params, np.ones((2, 4)))
+
+
 def test_backward_matches_finite_differences_cross_entropy():
     # moderate tau keeps the softmax away from saturation so central
     # differences stay well conditioned; backward() is tau-generic code
@@ -164,7 +173,7 @@ def test_gradient_reversal_flips_only_lower_tree():
 def test_sgd_zero_grad_no_change():
     params = init_params(SMALL, 0)
     before = params.flat.copy()
-    sgd_step(params, params.with_flat(np.zeros_like(params.flat)), init_optimizer_state(params), lr=0.1)
+    sgd_step(params, params.with_flat(np.zeros_like(params.flat)), np.zeros_like(params.flat), 0.1, 0.1)
     assert np.array_equal(params.flat, before)
 
 
@@ -176,11 +185,11 @@ def test_sgd_single_step_and_momentum_unroll():
     params = _scalar_tree(1.0)
     grads = _scalar_tree(0.0)
     grads.bottleneck.weight[...] = 1.0
-    state = init_optimizer_state(params)
-    sgd_step(params, grads, state, lr=0.1)
+    velocity = np.zeros_like(params.flat)
+    sgd_step(params, grads, velocity, 0.1, 0.1)
     assert abs(params.bottleneck.weight[0, 0] - 0.9) < 1e-15
     # second identical step: buffer 0.9*1 + 1 = 1.9, total decrease 0.29
-    sgd_step(params, grads, state, lr=0.1)
+    sgd_step(params, grads, velocity, 0.1, 0.1)
     assert abs(params.bottleneck.weight[0, 0] - 0.71) < 1e-15
 
 
@@ -190,15 +199,17 @@ def test_sgd_generator_lr_split():
     grads = params.with_flat(np.ones_like(params.flat))
     before_gen = params.generator[0].weight.copy()
     before_cls = params.classifier.copy()
-    sgd_step(params, grads, init_optimizer_state(params), lr=0.1, generator_lr=0.01)
+    sgd_step(params, grads, np.zeros_like(params.flat), 0.1, 0.01)
     assert np.allclose(before_gen - params.generator[0].weight, 0.01, atol=1e-15)
     assert np.allclose(before_cls - params.classifier, 0.1, atol=1e-15)
 
 
 def test_sgd_rejects_bad_lr():
     params = init_params(SMALL, 0)
-    with pytest.raises(InvalidInputError):
-        sgd_step(params, params.with_flat(np.zeros_like(params.flat)), init_optimizer_state(params), lr=0.0)
+    zeros = params.with_flat(np.zeros_like(params.flat))
+    for lr, generator_lr in ((0.0, 0.1), (0.1, -0.1)):
+        with pytest.raises(InvalidInputError):
+            sgd_step(params, zeros, np.zeros_like(params.flat), lr, generator_lr)
 
 
 def test_lr_schedule_values():

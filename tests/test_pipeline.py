@@ -2,6 +2,7 @@
 and metrics serialization."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from swda.pipeline import (
     loss_curves_csv,
     metrics_to_json,
     part3_seed,
-    repeat_single_target,
     train_multi_target,
     train_single_target,
 )
@@ -140,16 +140,6 @@ def test_ablation_weights_run():
     assert all(v == 0.0 for v in metrics.loss_all)
 
 
-def test_repeat_single_target_runs_differ():
-    source, target = tiny_problem()
-    cfg = tiny_config(num_runs=2)
-    all_metrics, mean_final = repeat_single_target(cfg, source, target)
-    assert len(all_metrics) == 2
-    assert all_metrics[0].loss_ce != all_metrics[1].loss_ce
-    finals = [m.final_accuracy for m in all_metrics]
-    assert mean_final == pytest.approx(np.mean(finals))
-
-
 def test_multi_target_structure():
     spec = SyntheticSpec(
         num_classes=3,
@@ -170,12 +160,13 @@ def test_multi_target_structure():
     assert np.allclose(result.graph.tensor, np.swapaxes(result.graph.tensor, 0, 1), equal_nan=True)
 
 
-def test_part3_disabled_matches_paired_single_run():
-    # with replacement off, part 3 must replay the exact single-target run
-    # whose seed part3_seed exposes; this is the matched-pair contract
+def test_peerless_part3_matches_paired_single_run():
+    # one target has no peers, so peer replacement swaps nothing and part 3
+    # must replay the exact single-target run whose seed part3_seed
+    # exposes; this is the matched-pair contract ablations rely on
     source, target = tiny_problem()
     cfg = tiny_config()
-    result = train_multi_target(cfg, source, [target], enable_replacement=False)
+    result = train_multi_target(cfg, source, [target])
     paired = replace(cfg, seed=part3_seed(cfg.seed, 0))
     params, metrics, _ = train_single_target(paired, source, target)
     got_params, got_metrics = result.per_target[0]
@@ -183,14 +174,25 @@ def test_part3_disabled_matches_paired_single_run():
     assert metrics_to_json(got_metrics) == metrics_to_json(metrics)
 
 
-def test_single_target_multi_replacement_noop():
-    # one target has no peers, so enabling replacement changes nothing
-    source, target = tiny_problem()
-    cfg = tiny_config()
-    on = train_multi_target(cfg, source, [target], enable_replacement=True)
-    off = train_multi_target(cfg, source, [target], enable_replacement=False)
-    assert params_equal(on.per_target[0][0], off.per_target[0][0])
-    assert metrics_to_json(on.per_target[0][1]) == metrics_to_json(off.per_target[0][1])
+def test_refresh_period_warning_logged_once_per_multi_target_call(caplog):
+    # parts 1 and 3 run one trainer per target, but the config is the same
+    # for all of them, so the warning comes once
+    spec = SyntheticSpec(
+        num_classes=3,
+        input_dim=4,
+        samples_per_class=20,
+        transforms=[IDENTITY, DomainTransform(rotation_deg=15.0), DomainTransform(rotation_deg=30.0)],
+        seed=1,
+    )
+    source, t1, t2 = generate(spec)
+    cfg = tiny_config(max_iterations=40, strong_refresh_period=40)
+    with caplog.at_level(logging.WARNING, logger="swda"):
+        train_multi_target(cfg, source, [t1, t2])
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        "strong_refresh_period 40 >= max_iterations 40: no strong set exists before the "
+        "last iteration, so the strong-weak loss L_SW never runs"
+    ]
 
 
 def test_multi_target_jobs_deterministic():

@@ -392,6 +392,45 @@ def test_harvest_tie_stability():
     assert [int(v[0]) for v in pools[0]] == [0, 1]  # stable sort keeps input order
 
 
+def plain_ranking(P, lam):
+    """Per class, the rows whose argmax (ties to the lowest class) is the
+    class with probability above lam, by descending probability, then by
+    ascending row."""
+    ranking = [[] for _ in range(P.shape[1])]
+    for i, row in enumerate(P.tolist()):
+        j = row.index(max(row))
+        if row[j] > lam:
+            ranking[j].append((-row[j], i))
+    return [[i for _, i in sorted(pairs)] for pairs in ranking]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    k=st.integers(1, 5),
+    lam=st.sampled_from([0.2, 0.5, 0.8]),
+    cap=st.integers(1, 6),
+)
+def test_weak_set_and_harvest_share_one_ranking(seed, n, k, lam, cap):
+    # few distinct rows, each repeated, force probability ties; row i's
+    # input is [i], so each pick names its row
+    rng = np.random.default_rng(seed)
+    distinct = softmax(rng.normal(size=(max(1, n // 3), k)) * 3.0)
+    P = distinct[rng.integers(distinct.shape[0], size=n)]
+    X = np.arange(n, dtype=float)[:, None]
+    want = plain_ranking(P, lam)
+    weak = update_weak_set(empty_weak_set(k), X, P, lam)
+    pools = harvest_pseudo_strong(X, P, lam, cap).pools
+    for j in range(k):
+        assert [int(v[0]) for v in pools[j]] == want[j][:cap]
+        if want[j]:
+            assert weak.entries[j].x[0] == pools[j][0][0] == want[j][0]
+            assert weak.entries[j].prob == P[want[j][0], j]
+        else:
+            assert weak.entries[j] is None
+
+
 # --- serialization ------------------------------------------------------------
 
 def test_pseudo_set_round_trip():
