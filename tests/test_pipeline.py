@@ -160,9 +160,9 @@ def test_multi_target_structure():
     assert np.allclose(result.graph.tensor, np.swapaxes(result.graph.tensor, 0, 1), equal_nan=True)
 
 
-def test_peerless_part3_matches_paired_single_run():
-    # one target has no peers, so peer replacement swaps nothing and part 3
-    # must replay the exact single-target run whose seed part3_seed
+def test_part3_disabled_matches_paired_single_run():
+    # one target has no peers, so peer replacement is disabled in effect and
+    # part 3 must replay the exact single-target run whose seed part3_seed
     # exposes; this is the matched-pair contract ablations rely on
     source, target = tiny_problem()
     cfg = tiny_config()
@@ -172,6 +172,27 @@ def test_peerless_part3_matches_paired_single_run():
     got_params, got_metrics = result.per_target[0]
     assert params_equal(got_params, params)
     assert metrics_to_json(got_metrics) == metrics_to_json(metrics)
+
+
+def test_single_target_multi_replacement_noop(monkeypatch):
+    # one target has no peers, so every replacement call part 3 makes gets
+    # an empty peer map and hands back the strong entries unchanged
+    calls = []
+    real = pipeline.replace_with_peers
+
+    def spy(own, peers, graph, slot, rng):
+        out = real(own, peers, graph, slot, rng)
+        calls.append((peers, own, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "replace_with_peers", spy)
+    source, target = tiny_problem()
+    train_multi_target(tiny_config(), source, [target])
+    assert calls
+    for peers, own, out in calls:
+        assert peers == {}
+        assert [e.domain for e in out.entries] == [e.domain for e in own.entries]
+        assert all(np.array_equal(a.x, b.x) for a, b in zip(out.entries, own.entries))
 
 
 def test_refresh_period_warning_logged_once_per_multi_target_call(caplog):
