@@ -167,19 +167,18 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
     return SyntheticSpec(transforms=parsed, **kwargs)
 
 
-def _load_labeled(path) -> Domain:
-    dom = load_csv(path)
-    if dom.labels is None:
-        raise InvalidDatasetError(f"{path}: source domain must be labeled")
-    return dom
-
-
-def _resolve_dims(cfg: dict, source: Domain) -> tuple:
-    input_dim = source.samples.shape[1]
+def _load_run(args) -> tuple:
+    """(config file dict, labeled source, ExperimentConfig) of a training
+    command: input_dim comes from the source, num_classes from the file or
+    else the source's largest label."""
+    cfg = load_config_file(args.config)
+    source = load_csv(args.source)
+    if source.labels is None:
+        raise InvalidDatasetError(f"{args.source}: source domain must be labeled")
     num_classes = cfg.get("num_classes")
     if num_classes is None:
         num_classes = int(source.labels.max()) + 1
-    return input_dim, num_classes  # a mistyped num_classes fails the config type check
+    return cfg, source, experiment_config_from_dict(cfg, source.samples.shape[1], num_classes)
 
 
 def _config_echo(cfg: dict, config: ExperimentConfig, source: Domain, target: Domain) -> dict:
@@ -220,10 +219,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_single(args) -> int:
-    cfg = load_config_file(args.config)
-    source = _load_labeled(args.source)
+    cfg, source, config = _load_run(args)
     target = load_csv(args.target)
-    config = experiment_config_from_dict(cfg, *_resolve_dims(cfg, source))
     params, metrics, pseudo = train_single_target(config, source, target)
     _write_run_outputs(Path(args.out), params, metrics, _config_echo(cfg, config, source, target), pseudo)
     if metrics.final_accuracy is not None:
@@ -232,10 +229,10 @@ def cmd_train_single(args) -> int:
 
 
 def cmd_train_multi(args) -> int:
-    cfg = load_config_file(args.config)
-    source = _load_labeled(args.source)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    cfg, source, config = _load_run(args)
     targets = [load_csv(p) for p in args.targets]
-    config = experiment_config_from_dict(cfg, *_resolve_dims(cfg, source))
     result = train_multi_target(config, source, targets, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,10 +266,16 @@ def cmd_report(args) -> int:
     groups: dict = {}
     for path in metric_files:
         doc = _load_json(path)
-        final = doc.get("final_accuracy")
+        echo, final = doc.get("config", {}), doc.get("final_accuracy")
+        if not isinstance(echo, dict):
+            raise ConfigError(f"{path}: config must be an object, got {json.dumps(echo)}")
+        task = echo.get("target", path.parent.name)
+        if not isinstance(task, str):
+            raise ConfigError(f"{path}: config target must be a string, got {json.dumps(task)}")
         if final is None:
             continue
-        task = doc.get("config", {}).get("target", path.parent.name)
+        if not _ACCEPTS[float][1](final):
+            raise ConfigError(f"{path}: final_accuracy must be null or a finite number, got {json.dumps(final)}")
         groups.setdefault(task, []).append(float(final))
     lines = ["task mean_final_accuracy num_runs"]
     for task in sorted(groups):

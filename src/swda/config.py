@@ -39,15 +39,11 @@ class ExperimentConfig:
     batch_size: int = 48
     max_iterations: int = 1000
     strong_refresh_period: int = 200
-    schedule_a: float = 10.0
-    schedule_b: float = 0.75
     eta0_head: float = 0.01  # bottleneck + classifier
     eta0_generator: float = 0.001
     seed: int = 0
     source_iterations: int | None = None  # None: reuse max_iterations
-    source_eval_period: int = 50
     accuracy_eval_period: int = 100
-    pseudo_pool_cap: int = 16
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -62,12 +58,8 @@ class ExperimentConfig:
             raise InvalidInputError("seed must be >= 0")
         if self.source_iterations is not None and self.source_iterations < 0:
             raise InvalidInputError("source_iterations must be >= 0")
-        if self.source_eval_period < 1:
-            raise InvalidInputError("source_eval_period must be >= 1")
         if self.accuracy_eval_period < 1:
             raise InvalidInputError("accuracy_eval_period must be >= 1")
-        if self.pseudo_pool_cap < 1:
-            raise InvalidInputError("pseudo_pool_cap must be >= 1")
 
 
 class BatchSampler:

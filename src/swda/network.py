@@ -247,8 +247,8 @@ def sgd_step(params: NetworkParams, grads: Gradients, velocity: Array, lr: float
         params.flat[part] -= step * buf
 
 
-def lr_schedule(q: float, eta0: float, a: float = 10.0, b: float = 0.75) -> float:
-    """Inverse-power decay eta0 / (1 + a*q)^b over training progress q in [0, 1]."""
+def lr_schedule(q: float, eta0: float) -> float:
+    """DANN's annealed rate eta0 / (1 + 10q)^0.75 over training progress q in [0, 1]."""
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"training progress q={q} outside [0, 1]")
-    return eta0 / (1.0 + a * q) ** b
+    return eta0 / (1.0 + 10.0 * q) ** 0.75

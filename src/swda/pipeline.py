@@ -34,25 +34,11 @@ from .config import (
     stream_rng,
 )
 from .datasets import Domain
-from .errors import InvalidDatasetError, InvalidInputError
-from .losses import (
-    adversarial_logit_loss,
-    cross_entropy,
-    info_max_loss,
-    strong_weak_loss,
-)
+from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError
+from .losses import adversarial_logit_loss, info_max_loss, strong_weak_loss
 from .mathutils import serial_blas
-from .network import (
-    NetworkParams,
-    add_trees,
-    backward,
-    forward,
-    init_params,
-    lr_schedule,
-    sgd_step,
-)
+from .network import NetworkParams, add_trees, backward, forward, init_params, sgd_step
 from .repsets import (
-    PseudoStrongSet,
     empty_weak_set,
     fuse,
     harvest_pseudo_strong,
@@ -65,7 +51,9 @@ from .scaffolding import (
     build_distance_graph,
     centroids_for_domains,
     check_source_classes,
+    evaluate,
     replace_with_peers,
+    source_step,
     train_source_only,
 )
 
@@ -99,16 +87,6 @@ class PeerContext:
     rng: np.random.Generator
 
 
-def evaluate(params: NetworkParams, domain: Domain) -> float:
-    """Fraction of samples whose argmax probability hits the label."""
-    if domain.labels is None:
-        raise InvalidDatasetError(f"domain {domain.name!r} has no labels to evaluate against")
-    if domain.n == 0:
-        raise InvalidDatasetError(f"domain {domain.name!r} is empty")
-    probs = forward(params, domain.samples).probs
-    return float(np.mean(np.argmax(probs, axis=1) == domain.labels))
-
-
 def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
     if config.strong_refresh_period >= config.max_iterations:
         log.warning(
@@ -120,6 +98,7 @@ def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
 
 
 @serial_blas()
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _adaptation_run(
     config: ExperimentConfig,
     source: Domain,
@@ -144,69 +123,66 @@ def _adaptation_run(
     weak = empty_weak_set(config.network.num_classes)
     metrics = RunMetrics([], [], [], [], [], [], None)
 
-    for it in range(config.max_iterations):
-        q = it / config.max_iterations
-        lr_head = lr_schedule(q, config.eta0_head, config.schedule_a, config.schedule_b)
-        lr_gen = lr_schedule(q, config.eta0_generator, config.schedule_a, config.schedule_b)
+    try:
+        for it in range(config.max_iterations):
+            # (1) supervised step on the source
+            q = it / config.max_iterations
+            ce, lr_head, lr_gen = source_step(config, params, velocity, source, src_sampler, q)
 
-        # (1) supervised step on the source
-        idx = src_sampler.next_batch()
-        fwd_s = forward(params, source.samples[idx])
-        ce = cross_entropy(fwd_s.probs, source.labels[idx])
-        sgd_step(params, backward(params, fwd_s, ce.grad_wrt_logits), velocity, lr_head, lr_gen)
+            # (2) unsupervised losses on a target batch
+            tidx = tgt_sampler.next_batch()
+            fwd_t = forward(params, target.samples[tidx])
+            im = info_max_loss(fwd_t.probs)
+            all_ = adversarial_logit_loss(fwd_t.logits, fwd_t.probs, w.lam)
+            grads = add_trees(
+                backward(params, fwd_t, w.k1 * im.grad_wrt_logits),
+                backward(params, fwd_t, w.k2 * all_.grad_wrt_logits, reverse_below_classifier=True),
+            )
 
-        # (2) unsupervised losses on a target batch
-        tidx = tgt_sampler.next_batch()
-        fwd_t = forward(params, target.samples[tidx])
-        im = info_max_loss(fwd_t.probs)
-        all_ = adversarial_logit_loss(fwd_t.logits, fwd_t.probs, w.lam)
-        grads = add_trees(
-            backward(params, fwd_t, w.k1 * im.grad_wrt_logits),
-            backward(params, fwd_t, w.k2 * all_.grad_wrt_logits, reverse_below_classifier=True),
-        )
+            # (3) strong-weak supervision once the strong set exists; with peers,
+            # each iteration re-draws replacement samples so no single draw
+            # dominates a refresh window
+            sw_value = 0.0
+            if strong is not None:
+                effective = strong
+                if peer_ctx is not None:
+                    effective = replace_with_peers(
+                        strong, peer_ctx.peers, peer_ctx.graph, peer_ctx.target_slot, peer_ctx.rng
+                    )
+                fused = fuse(effective, weak, fusion_rng)
+                pred = np.argmax(fwd_t.probs, axis=1)
+                sw_batch = select_sw_batch(fused, pred)
+                if sw_batch.inputs.shape[0]:
+                    fwd_sw = forward(params, sw_batch.inputs)
+                    sw = strong_weak_loss(fwd_sw.probs, sw_batch.pseudo_labels)
+                    sw_value = sw.value
+                    grads = add_trees(grads, backward(params, fwd_sw, w.k3 * sw.grad_wrt_logits))
 
-        # (3) strong-weak supervision once the strong set exists; with peers,
-        # each iteration re-draws replacement samples so no single draw
-        # dominates a refresh window
-        sw_value = 0.0
-        if strong is not None:
-            effective = strong
-            if peer_ctx is not None:
-                effective = replace_with_peers(
-                    strong, peer_ctx.peers, peer_ctx.graph, peer_ctx.target_slot, peer_ctx.rng
-                )
-            fused = fuse(effective, weak, fusion_rng)
-            pred = np.argmax(fwd_t.probs, axis=1)
-            sw_batch = select_sw_batch(fused, pred)
-            if sw_batch.inputs.shape[0]:
-                fwd_sw = forward(params, sw_batch.inputs)
-                sw = strong_weak_loss(fwd_sw.probs, sw_batch.pseudo_labels)
-                sw_value = sw.value
-                grads = add_trees(grads, backward(params, fwd_sw, w.k3 * sw.grad_wrt_logits))
+            # (4) one optimizer step for the combined target objective
+            sgd_step(params, grads, velocity, lr_head, lr_gen)
 
-        # (4) one optimizer step for the combined target objective
-        sgd_step(params, grads, velocity, lr_head, lr_gen)
+            # (5) weak set follows every batch
+            weak = update_weak_set(weak, target.samples[tidx], fwd_t.probs, w.lam)
 
-        # (5) weak set follows every batch
-        weak = update_weak_set(weak, target.samples[tidx], fwd_t.probs, w.lam)
+            # (6) periodic strong refresh over the whole target
+            if (it + 1) % config.strong_refresh_period == 0:
+                fwd_full = forward(params, target.samples)
+                strong = update_strong_set(target.samples, fwd_full.norm_features, fwd_full.probs, target.name)
 
-        # (6) periodic strong refresh over the whole target
-        if (it + 1) % config.strong_refresh_period == 0:
-            fwd_full = forward(params, target.samples)
-            strong = update_strong_set(target.samples, fwd_full.norm_features, fwd_full.probs, target.name)
-
-        metrics.loss_ce.append(ce.value)
-        metrics.loss_im.append(im.value)
-        metrics.loss_all.append(all_.value)
-        metrics.loss_sw.append(sw_value)
-        if (it + 1) % config.accuracy_eval_period == 0 and target.labels is not None:
-            metrics.accuracy_iterations.append(it + 1)
-            metrics.accuracy_series.append(evaluate(params, target))
+            metrics.loss_ce.append(ce)
+            metrics.loss_im.append(im.value)
+            metrics.loss_all.append(all_.value)
+            metrics.loss_sw.append(sw_value)
+            if (it + 1) % config.accuracy_eval_period == 0 and target.labels is not None:
+                metrics.accuracy_iterations.append(it + 1)
+                metrics.accuracy_series.append(evaluate(params, target))
+    except (FloatingPointError, DegenerateInputError) as exc:
+        raise DegenerateInputError(f"target {target.name!r}, iteration {it + 1}: {exc}") from exc
 
     if target.labels is not None:
         metrics.final_accuracy = evaluate(params, target)
     probs_full = forward(params, target.samples).probs
-    pseudo = harvest_pseudo_strong(target.samples, probs_full, w.lam, config.pseudo_pool_cap)
+    pseudo = harvest_pseudo_strong(target.samples, probs_full, w.lam)
     metrics.wall_clock_seconds = time.perf_counter() - start
     return params, metrics, pseudo
 
@@ -244,7 +220,8 @@ def _part3_task(args):
 def _run_tasks(fn, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # under fork the pool starts all max_workers processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -188,10 +188,8 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
     no samples in round 1 falls back to the sample with the highest
     predicted probability for it.
     """
-    X = as_float_array(inputs, ndim=2)
-    P, V = _check_pair(probs, norm_features, "probs", "norm_features")
-    if X.shape[0] != P.shape[0]:
-        raise InvalidInputError("inputs row count does not match probs")
+    X, P = _check_pair(inputs, probs, "inputs", "probs")
+    P, V = _check_pair(P, norm_features, "probs", "norm_features")
     k = P.shape[1]
     round1 = compute_centroids(P, V)
     v_norms = _row_norms(V, "feature row")
@@ -222,10 +220,7 @@ def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
     """Per-batch threshold replacement: for each class that is some row's
     argmax with probability above lam, store that batch's best such sample.
     Classes not represented above the threshold keep their old entry."""
-    X = as_float_array(inputs, ndim=2)
-    P = as_float_array(probs, ndim=2)
-    if X.shape[0] != P.shape[0]:
-        raise InvalidInputError("inputs row count does not match probs")
+    X, P = _check_pair(inputs, probs, "inputs", "probs")
     k = P.shape[1]
     if len(weak.entries) != k:
         raise InvalidInputError(f"weak set has {len(weak.entries)} classes, probs has {k}")
@@ -279,10 +274,7 @@ def select_sw_batch(fused: list, pred_labels) -> FusedBatch:
 def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStrongSet:
     """Per class, keep the up-to-cap highest-probability samples whose argmax
     lands on the class with probability above lam."""
-    X = as_float_array(inputs, ndim=2)
-    P = as_float_array(probs, ndim=2)
-    if X.shape[0] != P.shape[0]:
-        raise InvalidInputError("inputs row count does not match probs")
+    X, P = _check_pair(inputs, probs, "inputs", "probs")
     if cap < 1:
         raise InvalidInputError("cap must be >= 1")
     ranking, _ = _confident_ranking(P, lam)

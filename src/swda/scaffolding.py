@@ -1,6 +1,7 @@
 """Multi-target scaffolding: source-only pretraining, the class-wise
 distance graph between domain centroids, the two peer criteria, and
-strong-set replacement from qualifying peer domains.
+strong-set replacement from qualifying peer domains. The supervised
+source step and the accuracy check live here too; both trainers use them.
 
 The distance graph is a (N+1) x (N+1) x k tensor of cosine distances
 between per-class centroids, computed once from a source-only network and
@@ -41,6 +42,8 @@ from .repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
 
 log = logging.getLogger(__name__)
 
+SOURCE_EVAL_PERIOD = 50  # iterations between source-only early-stopping checks
+
 
 @dataclass
 class DomainCentroids:
@@ -74,11 +77,34 @@ def check_source_classes(domain: Domain, num_classes: int) -> None:
         raise InvalidDatasetError(f"domain {domain.name!r} is missing classes {missing}")
 
 
+def evaluate(params: NetworkParams, domain: Domain) -> float:
+    """Fraction of samples whose argmax probability hits the label."""
+    if domain.labels is None:
+        raise InvalidDatasetError(f"domain {domain.name!r} has no labels to evaluate against")
+    if domain.n == 0:
+        raise InvalidDatasetError(f"domain {domain.name!r} is empty")
+    probs = forward(params, domain.samples).probs
+    return float(np.mean(np.argmax(probs, axis=1) == domain.labels))
+
+
+def source_step(config: ExperimentConfig, params, velocity, source: Domain, sampler: BatchSampler, q: float):
+    """The supervised half of every iteration: a cross-entropy step on the
+    next source batch at training progress q. Returns (cross-entropy value,
+    head learning rate, generator learning rate)."""
+    lr_head, lr_gen = lr_schedule(q, config.eta0_head), lr_schedule(q, config.eta0_generator)
+    idx = sampler.next_batch()
+    fwd = forward(params, source.samples[idx])
+    ce = cross_entropy(fwd.probs, source.labels[idx])
+    sgd_step(params, backward(params, fwd, ce.grad_wrt_logits), velocity, lr_head, lr_gen)
+    return ce.value, lr_head, lr_gen
+
+
 @serial_blas()
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams:
     """Cross-entropy training on the labeled source with early stopping.
 
-    Source accuracy is evaluated every source_eval_period iterations; the
+    Source accuracy is evaluated every SOURCE_EVAL_PERIOD iterations; the
     best-scoring parameters are kept, and training stops once accuracy has
     fallen below the running best on two consecutive evaluations.
     """
@@ -93,32 +119,23 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
 
     best_acc = -1.0
     consecutive_drops = 0
-    for it in range(budget):
-        q = it / budget
-        idx = sampler.next_batch()
-        fwd = forward(params, source.samples[idx])
-        loss = cross_entropy(fwd.probs, source.labels[idx])
-        grads = backward(params, fwd, loss.grad_wrt_logits)
-        sgd_step(
-            params,
-            grads,
-            velocity,
-            lr_schedule(q, config.eta0_head, config.schedule_a, config.schedule_b),
-            lr_schedule(q, config.eta0_generator, config.schedule_a, config.schedule_b),
-        )
-        if (it + 1) % config.source_eval_period == 0:
-            probs = forward(params, source.samples).probs
-            acc = float(np.mean(np.argmax(probs, axis=1) == source.labels))
-            if acc > best_acc:
-                best_acc = acc
-                best_params = params.copy()
-                consecutive_drops = 0
-            elif acc < best_acc:
-                consecutive_drops += 1
-                if consecutive_drops >= 2:
-                    break
-            else:
-                consecutive_drops = 0
+    try:
+        for it in range(budget):
+            source_step(config, params, velocity, source, sampler, it / budget)
+            if (it + 1) % SOURCE_EVAL_PERIOD == 0:
+                acc = evaluate(params, source)
+                if acc > best_acc:
+                    best_acc = acc
+                    best_params = params.copy()
+                    consecutive_drops = 0
+                elif acc < best_acc:
+                    consecutive_drops += 1
+                    if consecutive_drops >= 2:
+                        break
+                else:
+                    consecutive_drops = 0
+    except (FloatingPointError, DegenerateInputError) as exc:
+        raise DegenerateInputError(f"source-only training, iteration {it + 1}: {exc}") from exc
     return best_params
 
 

@@ -3,6 +3,7 @@ agreement with the library API."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -381,24 +382,27 @@ def test_refresh_period_not_shorter_than_run_warns(tmp_path, caplog, iterations,
 
 
 def test_num_runs_config_key_exit_2(tmp_path, capsys):
-    # repeated runs are train-single with different seeds, aggregated by report
+    # repeated runs are train-single with different seeds, aggregated by
+    # report; the other keys were single-valued options, now constants
     write_dataset(tmp_path)
-    cfg_path, _ = write_config(tmp_path, extra={"num_runs": 3})
-    assert run_train_single(tmp_path, cfg_path) == 2
-    assert "unknown config keys ['num_runs']" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    for key in ("num_runs", "schedule_a", "schedule_b", "source_eval_period", "pseudo_pool_cap"):
+        cfg_path, _ = write_config(tmp_path, extra={key: 3})
+        assert run_train_single(tmp_path, cfg_path) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("extra", [{"tau": 1e308}, {"k1": 1e300}], ids=["tau", "k1"])
 def test_diverging_run_exit_3(tmp_path, capsys, extra):
-    # the network's own non-finite logits are a numerical failure, not an
-    # input error
+    # the first overflow stops the run: a numerical failure of the network
+    # itself, not an input error, reported on one line naming the iteration
     write_dataset(tmp_path)
     cfg_path, _ = write_config(tmp_path, extra={**extra, "max_iterations": 40})
     assert run_train_single(tmp_path, cfg_path) == 3
     err = capsys.readouterr().err
-    assert "error: non-finite logits" in err and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and re.match(r"error: target 'target', iteration [1-9][0-9]*: ", errors[0])
+    assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -621,6 +625,30 @@ def test_report_empty_dir_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ('{"config": null}', "config"),
+        ('{"config": {"target": ["a"]}}', "config target"),
+        ('{"final_accuracy": "x"}', "final_accuracy"),
+        ('{"final_accuracy": [1]}', "final_accuracy"),
+        ('{"final_accuracy": true}', "final_accuracy"),
+        ('{"final_accuracy": NaN}', "final_accuracy"),
+        ('{"final_accuracy": 1e400}', "final_accuracy"),
+    ],
+    ids=["config-null", "target-list", "final-str", "final-list", "final-bool", "final-nan", "final-inf"],
+)
+def test_report_rejects_malformed_metrics_exit_2(tmp_path, capsys, body, key):
+    run = tmp_path / "runs" / "r0"
+    run.mkdir(parents=True)
+    (run / "metrics.json").write_text(body)
+    out = tmp_path / "summary.txt"
+    assert main(["report", "--runs", str(tmp_path / "runs"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {run / 'metrics.json'}: {key} must be " in err and "unexpected" not in err
+    assert not out.exists()
+
+
 def test_report_scatter_svg(tmp_path):
     write_dataset(tmp_path)
     cfg_path, _ = write_config(tmp_path, extra={"bottleneck_dim": 2}, name="cfg2d.json")
@@ -736,6 +764,30 @@ def test_train_multi_end_to_end(tmp_path):
     assert (out / "source_checkpoint.txt").exists()
     report = (out / "distance_graph.txt").read_text()
     assert "target2" in report
+
+
+def test_train_multi_jobs_below_one_exit_2(tmp_path, capsys):
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "multi"
+    rc = main(
+        [
+            "train-multi",
+            "--config",
+            str(cfg_path),
+            "--source",
+            str(tmp_path / "source.csv"),
+            "--targets",
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(out),
+            "--jobs",
+            "0",
+        ]
+    )
+    assert rc == 2
+    assert "error: --jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _assert_full_help(command, env=None):

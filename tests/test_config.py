@@ -38,9 +38,7 @@ def test_defaults_valid():
         {"eta0_head": 0.0},
         {"eta0_generator": -1e-3},
         {"source_iterations": -1},
-        {"source_eval_period": 0},
         {"accuracy_eval_period": 0},
-        {"pseudo_pool_cap": 0},
         {"seed": -1},
     ],
 )

@@ -216,7 +216,7 @@ def test_refresh_period_warning_logged_once_per_multi_target_call(caplog):
     ]
 
 
-def test_multi_target_jobs_deterministic():
+def source_and_two_targets():
     spec = SyntheticSpec(
         num_classes=3,
         input_dim=4,
@@ -228,7 +228,11 @@ def test_multi_target_jobs_deterministic():
         ],
         seed=1,
     )
-    source, t1, t2 = generate(spec)
+    return generate(spec)
+
+
+def test_multi_target_jobs_deterministic():
+    source, t1, t2 = source_and_two_targets()
     cfg = tiny_config(max_iterations=80)
     serial = train_multi_target(cfg, source, [t1, t2], jobs=1)
     parallel = train_multi_target(cfg, source, [t1, t2], jobs=2)
@@ -240,6 +244,34 @@ def test_multi_target_jobs_deterministic():
         for layer in (*pp.generator, pp.bottleneck):
             assert np.shares_memory(layer.weight, pp.flat) and np.shares_memory(layer.bias, pp.flat)
         assert np.shares_memory(pp.classifier, pp.flat)
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # under fork a ProcessPoolExecutor starts all max_workers processes at
+    # the first submit; this fake records the count and runs in-process
+    source, t1, t2 = source_and_two_targets()
+    cfg = tiny_config(max_iterations=40)
+    serial = train_multi_target(cfg, source, [t1, t2], jobs=1)
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    wide = train_multi_target(cfg, source, [t1, t2], jobs=64)
+    assert started == [2, 2]  # part 1 and part 3, one worker per target
+    for (ps, ms), (pw, mw) in zip(serial.per_target, wide.per_target):
+        assert params_equal(ps, pw) and metrics_to_json(ms) == metrics_to_json(mw)
 
 
 def openblas_or_skip():

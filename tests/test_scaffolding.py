@@ -3,6 +3,7 @@ import pytest
 
 from oracles import distance_graph as oracle_distance_graph
 from oracles import peer_qualifies as oracle_peer_qualifies
+from swda import scaffolding
 from swda.config import ExperimentConfig
 from swda.datasets import Domain, generate, standard_shift_spec
 from swda.errors import InvalidDatasetError, InvalidInputError, NotInitializedError
@@ -61,6 +62,25 @@ def test_train_source_only_learns_and_is_deterministic():
     assert acc > 0.8
     again = train_source_only(cfg, src)
     assert np.array_equal(params.flat, again.flat)
+
+
+def test_train_source_only_keeps_best_check_and_stops_after_two_drops(monkeypatch):
+    # a rise, a tie (which resets the drop count) and two drops in a row
+    src = generate(standard_shift_spec(0))[0]
+    cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=0, source_iterations=1000)
+    scores = iter([0.5, 0.7, 0.6, 0.7, 0.6, 0.5])
+    seen = []
+
+    def spy(params, domain):
+        assert domain is src
+        seen.append(params.flat.copy())
+        return next(scores)
+
+    monkeypatch.setattr(scaffolding, "evaluate", spy)
+    params = train_source_only(cfg, src)
+    assert len(seen) == 6
+    assert np.array_equal(params.flat, seen[1])
+    assert not np.array_equal(seen[1], seen[3])  # the tie did not replace the best
 
 
 # --- centroids and the distance graph -----------------------------------------
