@@ -52,8 +52,8 @@ class ExperimentConfig:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.strong_refresh_period < 1:
             raise InvalidInputError("strong_refresh_period must be >= 1")
-        if min(self.eta0_head, self.eta0_generator) <= 0.0:
-            raise InvalidInputError("learning rates must be positive")
+        if not all(np.isfinite(r) and r > 0.0 for r in (self.eta0_head, self.eta0_generator)):
+            raise InvalidInputError("learning rates must be positive and finite")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
         if self.source_iterations is not None and self.source_iterations < 0:

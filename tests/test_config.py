@@ -37,7 +37,9 @@ def test_defaults_valid():
         {"strong_refresh_period": 0},
         {"eta0_head": 0.0},
         {"eta0_generator": -1e-3},
+        {"eta0_head": float("nan")},
         {"source_iterations": -1},
+        {"eta0_generator": float("inf")},
         {"accuracy_eval_period": 0},
         {"seed": -1},
     ],
