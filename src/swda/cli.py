@@ -274,8 +274,8 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{path}: config target must be a string, got {json.dumps(task)}")
         if final is None:
             continue
-        if not _ACCEPTS[float][1](final):
-            raise ConfigError(f"{path}: final_accuracy must be null or a finite number, got {json.dumps(final)}")
+        if not (_ACCEPTS[float][1](final) and 0 <= final <= 1):
+            raise ConfigError(f"{path}: final_accuracy must be null or a number in [0, 1], got {json.dumps(final)}")
         groups.setdefault(task, []).append(float(final))
     lines = ["task mean_final_accuracy num_runs"]
     for task in sorted(groups):

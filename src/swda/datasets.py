@@ -283,6 +283,8 @@ def load_csv(path) -> Domain:
                 raise ParseError(f"bad label {fields[0]!r}", line=line_no)
             if labels[-1] < 0:
                 raise ParseError(f"negative label {labels[-1]}", line=line_no)
+            if labels[-1] >= 2**63:
+                raise ParseError(f"label {labels[-1]} does not fit in int64", line=line_no)
         try:
             rows.append([float(v) for v in fields[1:]])
         except ValueError:

@@ -8,9 +8,10 @@ pseudo-labeled batch mirroring the predicted label distribution, and
 compute the strong-weak loss on it; (4) one optimizer step on the
 weighted sum of the three target losses, routing the adversarial term
 through gradient reversal; (5) weak-set update from the target batch;
-(6) periodic strong-set refresh over all target samples. In multi-target
-part 3 the strong entries of classes with a qualifying peer are swapped
-for peer pseudo samples at fusion time, re-drawn every iteration.
+(6) periodic strong-set refresh over all target samples. Step (3) first
+swaps each class's strong entry for a sample drawn from that class's peer
+donors; only multi-target part 3 has donors, fixed once per run and
+re-drawn from every iteration.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .scaffolding import (
     centroids_for_domains,
     check_source_classes,
     evaluate,
+    peer_donors,
     replace_with_peers,
     source_step,
     train_source_only,
@@ -77,16 +79,6 @@ class RunMetrics:
     wall_clock_seconds: float = 0.0  # informational; never serialized
 
 
-@dataclass
-class PeerContext:
-    """Everything part 3 needs to swap strong entries after each refresh."""
-
-    graph: DistanceGraph
-    target_slot: int  # this target's row in the graph (>= 1)
-    peers: dict  # slot -> PseudoStrongSet of every other target
-    rng: np.random.Generator
-
-
 def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
     if config.strong_refresh_period >= config.max_iterations:
         log.warning(
@@ -103,8 +95,11 @@ def _adaptation_run(
     config: ExperimentConfig,
     source: Domain,
     target: Domain,
-    peer_ctx: PeerContext | None,
+    donors: list,
 ):
+    """One adaptation run; donors[l] holds the (sample, peer slot) pairs
+    that may replace the class-l strong entry (see peer_donors), and a run
+    without peers passes []."""
     check_source_classes(source, config.network.num_classes)
     if target.n == 0:
         raise InvalidDatasetError(f"target domain {target.name!r} is empty")
@@ -118,6 +113,7 @@ def _adaptation_run(
     src_sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
     tgt_sampler = BatchSampler(target.n, config.batch_size, stream_rng(config.seed, STREAM_TARGET))
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
+    peer_rng = stream_rng(config.seed, STREAM_PEER)
 
     strong = None
     weak = empty_weak_set(config.network.num_classes)
@@ -139,17 +135,12 @@ def _adaptation_run(
                 backward(params, fwd_t, w.k2 * all_.grad_wrt_logits, reverse_below_classifier=True),
             )
 
-            # (3) strong-weak supervision once the strong set exists; with peers,
-            # each iteration re-draws replacement samples so no single draw
-            # dominates a refresh window
+            # (3) strong-weak supervision once the strong set exists; each
+            # iteration re-draws peer replacements so no single draw dominates
+            # a refresh window
             sw_value = 0.0
             if strong is not None:
-                effective = strong
-                if peer_ctx is not None:
-                    effective = replace_with_peers(
-                        strong, peer_ctx.peers, peer_ctx.graph, peer_ctx.target_slot, peer_ctx.rng
-                    )
-                fused = fuse(effective, weak, fusion_rng)
+                fused = fuse(replace_with_peers(strong, donors, peer_rng), weak, fusion_rng)
                 pred = np.argmax(fwd_t.probs, axis=1)
                 sw_batch = select_sw_batch(fused, pred)
                 if sw_batch.inputs.shape[0]:
@@ -191,7 +182,7 @@ def train_single_target(config: ExperimentConfig, source: Domain, target: Domain
     """Adaptation to one unlabeled target; returns (params, metrics,
     harvested pseudo strong set)."""
     _warn_if_no_strong_set(config)
-    return _adaptation_run(config, source, target, peer_ctx=None)
+    return _adaptation_run(config, source, target, [])
 
 
 @dataclass
@@ -205,15 +196,14 @@ class MultiTargetResult:
 def _part1_task(args):
     config, source, target, slot = args
     cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART1, slot))
-    _, _, pseudo = _adaptation_run(cfg, source, target, peer_ctx=None)
+    _, _, pseudo = _adaptation_run(cfg, source, target, [])
     return slot, pseudo
 
 
 def _part3_task(args):
-    config, source, target, slot, graph, peers = args
+    config, source, target, slot, donors = args
     cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART3, slot))
-    ctx = PeerContext(graph, slot, peers, stream_rng(cfg.seed, STREAM_PEER))
-    params, metrics, _ = _adaptation_run(cfg, source, target, ctx)
+    params, metrics, _ = _adaptation_run(cfg, source, target, donors)
     return slot, params, metrics
 
 
@@ -237,7 +227,8 @@ def train_multi_target(
     pseudo strong set. Part 2 trains a source-only network and builds the
     frozen class-wise distance graph over source + targets. Part 3
     re-trains each target from a fresh initialization, replacing strong
-    entries with qualifying peers' pseudo samples after every refresh.
+    entries with samples from its qualifying peers' pseudo pools; which
+    peers donate for each class is fixed once, before part 3 starts.
     To isolate what peer scaffolding adds, compare each part-3 run with
     the single-target run seeded by part3_seed.
     """
@@ -259,7 +250,7 @@ def train_multi_target(
     part3 = _run_tasks(
         _part3_task,
         [
-            (config, source, t, slot, graph, {j: ps for j, ps in pseudo_sets.items() if j != slot})
+            (config, source, t, slot, peer_donors(graph, slot, pseudo_sets))
             for slot, t in enumerate(targets, start=1)
         ],
         jobs,

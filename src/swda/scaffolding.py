@@ -223,30 +223,31 @@ def qualifying_fraction(G: DistanceGraph, i: int) -> float:
     return hits / G.num_classes
 
 
-def replace_with_peers(
-    own_strong: StrongSet,
-    peers: dict,
-    G: DistanceGraph,
-    i: int,
-    rng: np.random.Generator,
-) -> StrongSet:
-    """Per class, swap the strong entry for a uniformly chosen sample from
-    the pooled pseudo-strong sets of all qualifying peers; classes without a
-    qualifying, non-empty peer pool keep their own entry.
-
-    peers maps graph slot j (>= 1) to that target's PseudoStrongSet.
-    """
-    if not own_strong.populated:
-        raise NotInitializedError("own strong set is empty; nothing to replace")
-    entries = list(own_strong.entries)
-    for l in range(len(entries)):
+def peer_donors(G: DistanceGraph, i: int, peers: dict) -> list:
+    """Per class l, the (sample, j) pairs that may replace target i's
+    class-l strong entry: every class-l pool sample of every peer j != i
+    that qualifies for class l, in slot order, then pool order. peers maps
+    graph slot j (>= 1) to that target's PseudoStrongSet; the graph and
+    the pools are frozen before part 3, so one call serves a whole run."""
+    donors = []
+    for l in range(G.num_classes):
         union = []
         for j in sorted(peers):
             pool: PseudoStrongSet = peers[j]
-            if j == i or not pool.pools[l]:
-                continue
-            if peer_qualifies(G, i, j, l):
+            if j != i and pool.pools[l] and peer_qualifies(G, i, j, l):
                 union.extend((sample, j) for sample in pool.pools[l])
+        donors.append(union)
+    return donors
+
+
+def replace_with_peers(own_strong: StrongSet, donors: list, rng: np.random.Generator) -> StrongSet:
+    """Per class, swap the strong entry for a uniformly chosen pair from
+    donors[l] (see peer_donors). Classes with an empty donor list, or past
+    the end of donors, keep their own entry object."""
+    if not own_strong.populated:
+        raise NotInitializedError("own strong set is empty; nothing to replace")
+    entries = list(own_strong.entries)
+    for l, union in enumerate(donors):
         if union:
             sample, j = union[int(rng.integers(len(union)))]
             entries[l] = StrongEntry(sample.copy(), f"target{j}")

@@ -408,8 +408,12 @@ def test_diverging_run_exit_3(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize(
     "label, num_classes, message",
-    [("-1", None, "line 6: negative label -1"), ("9", 3, "has labels [9] outside [0, 3)")],
-    ids=["negative", "outside-num-classes"],
+    [
+        ("-1", None, "line 6: negative label -1"),
+        ("9", 3, "has labels [9] outside [0, 3)"),
+        ("99999999999999999999999", None, "line 6: label 99999999999999999999999 does not fit in int64"),
+    ],
+    ids=["negative", "outside-num-classes", "outside-int64"],
 )
 def test_bad_source_label_exit_2(tmp_path, capsys, label, num_classes, message):
     # caught where the data is loaded, not when a batch first draws the row
@@ -635,8 +639,13 @@ def test_report_empty_dir_exit_2(tmp_path):
         ('{"final_accuracy": true}', "final_accuracy"),
         ('{"final_accuracy": NaN}', "final_accuracy"),
         ('{"final_accuracy": 1e400}', "final_accuracy"),
+        ('{"final_accuracy": 1.5}', "final_accuracy"),
+        ('{"final_accuracy": -0.1}', "final_accuracy"),
     ],
-    ids=["config-null", "target-list", "final-str", "final-list", "final-bool", "final-nan", "final-inf"],
+    ids=[
+        "config-null", "target-list", "final-str", "final-list", "final-bool", "final-nan", "final-inf",
+        "final-above-one", "final-below-zero",
+    ],
 )
 def test_report_rejects_malformed_metrics_exit_2(tmp_path, capsys, body, key):
     run = tmp_path / "runs" / "r0"

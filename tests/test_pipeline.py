@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swda import mathutils, pipeline
+from swda import mathutils, pipeline, scaffolding
 from swda.config import ExperimentConfig
 from swda.datasets import IDENTITY, DomainTransform, SyntheticSpec, generate
 from swda.errors import InvalidDatasetError, InvalidInputError
@@ -175,24 +175,43 @@ def test_part3_disabled_matches_paired_single_run():
 
 
 def test_single_target_multi_replacement_noop(monkeypatch):
-    # one target has no peers, so every replacement call part 3 makes gets
-    # an empty peer map and hands back the strong entries unchanged
+    # one target has no peers, so every replacement call parts 1 and 3 make
+    # gets no donors and hands back the strong entries unchanged
     calls = []
     real = pipeline.replace_with_peers
 
-    def spy(own, peers, graph, slot, rng):
-        out = real(own, peers, graph, slot, rng)
-        calls.append((peers, own, out))
+    def spy(own, donors, rng):
+        out = real(own, donors, rng)
+        calls.append((donors, own, out))
         return out
 
     monkeypatch.setattr(pipeline, "replace_with_peers", spy)
     source, target = tiny_problem()
     train_multi_target(tiny_config(), source, [target])
     assert calls
-    for peers, own, out in calls:
-        assert peers == {}
-        assert [e.domain for e in out.entries] == [e.domain for e in own.entries]
-        assert all(np.array_equal(a.x, b.x) for a, b in zip(out.entries, own.entries))
+    for donors, own, out in calls:
+        assert not any(donors)
+        assert all(a is b for a, b in zip(out.entries, own.entries))
+
+
+def test_peer_qualification_runs_once_per_part3_run(monkeypatch):
+    # the graph and the peer pools are frozen before part 3, so qualification
+    # is decided once per target, not once per iteration
+    source, t1, t2 = source_and_two_targets()
+    real = scaffolding.peer_qualifies
+    counts = []
+    for iterations in (80, 160):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scaffolding, "peer_qualifies", spy)
+        train_multi_target(tiny_config(max_iterations=iterations), source, [t1, t2])
+        counts.append(len(calls))
+    k, n = 3, 2
+    assert 0 < counts[0] == counts[1] <= k * n * (n - 1)
 
 
 def test_refresh_period_warning_logged_once_per_multi_target_call(caplog):

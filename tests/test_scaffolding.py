@@ -17,6 +17,7 @@ from swda.scaffolding import (
     check_source_classes,
     compute_domain_centroids,
     format_distance_report,
+    peer_donors,
     peer_qualifies,
     qualifying_fraction,
     replace_with_peers,
@@ -212,7 +213,7 @@ def test_replace_with_peers_swaps_only_qualifying_classes():
     G = graph_from_distances([0.07, 0.30], [0.20, 0.20], [0.16, 0.10])
     own = _own_strong(2)
     peers = {1: PseudoStrongSet([[np.array([9.0, 9.0])], [np.array([7.0, 7.0])]])}
-    out = replace_with_peers(own, peers, G, i=2, rng=np.random.default_rng(0))
+    out = replace_with_peers(own, peer_donors(G, 2, peers), np.random.default_rng(0))
     assert np.array_equal(out.entries[0].x, [9.0, 9.0])  # class 0 qualified
     assert out.entries[0].domain == "target1"
     assert np.array_equal(out.entries[1].x, [1.0, 1.0])  # class 1 kept its own
@@ -224,14 +225,16 @@ def test_replace_with_peers_swaps_only_qualifying_classes():
 def test_replace_with_peers_skips_empty_pools():
     G = graph_from_distances([0.07], [0.20], [0.16])
     own = _own_strong(1)
-    out = replace_with_peers(own, {1: PseudoStrongSet([[]])}, G, i=2, rng=np.random.default_rng(0))
-    assert out.entries[0].domain == "own"
+    donors = peer_donors(G, 2, {1: PseudoStrongSet([[]])})
+    assert donors == [[]]
+    out = replace_with_peers(own, donors, np.random.default_rng(0))
+    assert out.entries[0] is own.entries[0]
 
 
 def test_replace_with_peers_requires_populated_set():
     G = graph_from_distances([0.07], [0.20], [0.16])
     with pytest.raises(NotInitializedError):
-        replace_with_peers(StrongSet([None]), {}, G, i=2, rng=np.random.default_rng(0))
+        replace_with_peers(StrongSet([None]), peer_donors(G, 2, {}), np.random.default_rng(0))
 
 
 def test_replace_with_peers_uniform_over_pool():
@@ -239,11 +242,11 @@ def test_replace_with_peers_uniform_over_pool():
     G = graph_from_distances([0.07], [0.20], [0.16])
     own = _own_strong(1)
     pool = [np.array([float(v), 0.0]) for v in range(4)]
-    peers = {1: PseudoStrongSet([pool])}
+    donors = peer_donors(G, 2, {1: PseudoStrongSet([pool])})
     rng = np.random.default_rng(42)
     counts = np.zeros(4)
     for _ in range(10000):
-        out = replace_with_peers(own, peers, G, i=2, rng=rng)
+        out = replace_with_peers(own, donors, rng)
         counts[int(out.entries[0].x[0])] += 1
     freqs = counts / 10000.0
     assert np.all(np.abs(freqs - 0.25) < 0.02), freqs
@@ -262,12 +265,54 @@ def test_replace_with_peers_pools_multiple_peers():
         1: PseudoStrongSet([[np.array([10.0, 0.0])]]),
         2: PseudoStrongSet([[np.array([20.0, 0.0])]]),
     }
+    donors = peer_donors(G, 3, peers)
     seen = set()
     rng = np.random.default_rng(7)
     for _ in range(100):
-        out = replace_with_peers(own, peers, G, i=3, rng=rng)
+        out = replace_with_peers(own, donors, rng)
         seen.add(float(out.entries[0].x[0]))
     assert seen == {10.0, 20.0}
+
+
+def test_peer_donors_match_oracle_randomized():
+    # random graphs over 2-4 targets with some unusable entries and some
+    # empty pools: class l's donors are exactly the samples of every
+    # oracle-qualifying peer with a non-empty class-l pool, in slot order
+    # and then pool order
+    rng = np.random.default_rng(11)
+    donated = 0
+    for _ in range(200):
+        M, k = int(rng.integers(3, 6)), int(rng.integers(1, 4))
+        tensor = rng.uniform(0.0, 2.0, size=(M, M, k))
+        tensor = (tensor + tensor.transpose(1, 0, 2)) / 2
+        valid = rng.uniform(size=(M, M, k)) > 0.15
+        valid = valid & valid.transpose(1, 0, 2)
+        G = DistanceGraph(tensor, valid)
+        i = int(rng.integers(1, M))
+        peers = {
+            j: PseudoStrongSet([
+                [np.array([j, l, n], dtype=float) for n in range(int(rng.integers(0, 3)))] for l in range(k)
+            ])
+            for j in range(1, M)
+            if rng.uniform() > 0.1
+        }
+        donors = peer_donors(G, i, peers)
+        assert len(donors) == k
+        for l in range(k):
+            expect = [
+                (j, n)
+                for j in sorted(peers)
+                if j != i
+                and G.valid[0, j, l] and G.valid[0, i, l] and G.valid[i, j, l]
+                and oracle_peer_qualifies(tensor.tolist(), i, j, l)
+                for n in range(len(peers[j].pools[l]))
+            ]
+            got = [(j, int(x[2])) for x, j in donors[l]]
+            assert got == expect
+            for x, j in donors[l]:
+                assert x is peers[j].pools[l][int(x[2])]
+            donated += len(got)
+    assert donated > 0
 
 
 # --- reporting / serialization ------------------------------------------------
