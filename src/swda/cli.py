@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
-import typing
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -60,26 +58,8 @@ _NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig)}
 _WEIGHT_KEYS = {f.name: f for f in fields(LossWeights)}
 _EXPERIMENT_KEYS = {f.name: f for f in fields(ExperimentConfig) if f.name not in ("network", "weights")}
 KNOWN_CONFIG_KEYS = {**_NETWORK_KEYS, **_WEIGHT_KEYS, **_EXPERIMENT_KEYS}
-# the JSON values each scalar field annotation accepts, and their name;
-# an int field refuses a bool, a float field refuses nan and infinity
-_ACCEPTS = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-    int | None: ("an integer or null", lambda v: v is None or type(v) is int),
-}
-# the annotation of every scalar config key (the dataclasses annotate with
-# strings); input_dim and num_classes may be null, meaning "from the data"
-_KEY_TYPES = {
-    key: hint
-    for cls in (NetworkConfig, LossWeights, ExperimentConfig)
-    for key, hint in typing.get_type_hints(cls).items()
-    if key in KNOWN_CONFIG_KEYS and key != "generator_hidden_dims"
-}
-_KEY_TYPES.update(input_dim=int | None, num_classes=int | None)
-
-
-_SPEC_KEYS = {"num_classes", "input_dim", "samples_per_class", "seed", "transforms"}
-_TRANSFORM_KEYS = {"rotation_deg", "translation", "noise_scale", "class_skew"}
+_SPEC_KEYS = {f.name for f in fields(SyntheticSpec)}
+_TRANSFORM_KEYS = {f.name for f in fields(DomainTransform)}
 
 
 def _load_json(path) -> dict:
@@ -101,26 +81,17 @@ def load_config_file(path) -> dict:
     return cfg
 
 
-def _check_types(cfg: dict) -> None:
-    dims = cfg.get("generator_hidden_dims", [])
-    if not isinstance(dims, (list, tuple)) or any(type(h) is not int or h < 1 for h in dims):
-        raise ConfigError(f"generator_hidden_dims must be a list of positive integers, got {dims!r}")
-    for key, value in cfg.items():
-        if key in _KEY_TYPES:
-            name, accepts = _ACCEPTS[_KEY_TYPES[key]]
-            if not accepts(value):
-                raise ConfigError(f"config {key} must be {name}, got {json.dumps(value)}")
-
-
 def experiment_config_from_dict(cfg: dict, input_dim: int, num_classes: int) -> ExperimentConfig:
     """Materialize an ExperimentConfig; dims from data win over the file,
     and a conflicting file value is an error rather than silently ignored.
-    Every value must have its field's type; a value out of its field's
-    range (the dataclasses check those) is a ConfigError too."""
-    _check_types(cfg)
+    A value the dataclasses reject (wrong type or out of range) is a
+    ConfigError."""
     for key, resolved in (("input_dim", input_dim), ("num_classes", num_classes)):
-        if cfg.get(key) is not None and cfg[key] != resolved:
-            raise ConfigError(f"config {key}={cfg[key]} conflicts with data ({resolved})")
+        value = cfg.get(key)
+        if value is not None and type(value) is not int:
+            raise ConfigError(f"config {key} must be an integer or null, got {json.dumps(value)}")
+        if value is not None and value != resolved:
+            raise ConfigError(f"config {key}={value} conflicts with data ({resolved})")
 
     def given(keys) -> dict:
         return {k: cfg[k] for k in keys if k in cfg}
@@ -148,23 +119,16 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
     transforms = doc.get("transforms")
     if not isinstance(transforms, list) or not transforms:
         raise ConfigError("spec needs a non-empty 'transforms' list")
-    parsed = []
     for i, t in enumerate(transforms):
         if not isinstance(t, dict):
             raise ConfigError(f"transforms[{i}] must be an object")
         bad = sorted(set(t) - _TRANSFORM_KEYS)
         if bad:
             raise ConfigError(f"transforms[{i}]: unknown keys {bad}")
-        parsed.append(
-            DomainTransform(
-                rotation_deg=t.get("rotation_deg", 0.0),
-                translation=tuple(t.get("translation", ())),
-                noise_scale=t.get("noise_scale", 1.0),
-                class_skew=tuple(t.get("class_skew", ())),
-            )
-        )
-    kwargs = {k: doc[k] for k in ("num_classes", "input_dim", "samples_per_class", "seed") if k in doc}
-    return SyntheticSpec(transforms=parsed, **kwargs)
+    try:
+        return SyntheticSpec(**{**doc, "transforms": [DomainTransform(**t) for t in transforms]})
+    except InvalidInputError as exc:
+        raise ConfigError(f"spec: {exc}") from exc
 
 
 def _load_run(args) -> tuple:
@@ -233,6 +197,13 @@ def cmd_train_multi(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, source, config = _load_run(args)
     targets = [load_csv(p) for p in args.targets]
+    names = [t.name for t in targets]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(
+            f"--targets: repeated target names {repeated}; a target is named by its file stem, "
+            "and its outputs go to a directory of that name"
+        )
     result = train_multi_target(config, source, targets, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,8 +211,7 @@ def cmd_train_multi(args) -> int:
         _write_run_outputs(out / target.name, params, metrics, _config_echo(cfg, config, source, target))
         if metrics.final_accuracy is not None:
             print(f"{target.name}: final accuracy {metrics.final_accuracy!r}")
-    names = [source.name] + [t.name for t in targets]
-    (out / "distance_graph.txt").write_text(format_distance_report(result.graph, names))
+    (out / "distance_graph.txt").write_text(format_distance_report(result.graph, [source.name] + names))
     ckpt.save_params(out / "source_checkpoint.txt", result.source_params)
     return 0
 
@@ -274,7 +244,7 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{path}: config target must be a string, got {json.dumps(task)}")
         if final is None:
             continue
-        if not (_ACCEPTS[float][1](final) and 0 <= final <= 1):
+        if not (type(final) in (int, float) and 0 <= final <= 1):
             raise ConfigError(f"{path}: final_accuracy must be null or a number in [0, 1], got {json.dumps(final)}")
         groups.setdefault(task, []).append(float(final))
     lines = ["task mean_final_accuracy num_runs"]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .losses import LossWeights
+from .mathutils import check_fields
 from .network import NetworkConfig
 
 # stream tags
@@ -46,14 +47,15 @@ class ExperimentConfig:
     accuracy_eval_period: int = 100
 
     def __post_init__(self):
+        check_fields(self)
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.strong_refresh_period < 1:
             raise InvalidInputError("strong_refresh_period must be >= 1")
-        if not all(np.isfinite(r) and r > 0.0 for r in (self.eta0_head, self.eta0_generator)):
-            raise InvalidInputError("learning rates must be positive and finite")
+        if min(self.eta0_head, self.eta0_generator) <= 0.0:
+            raise InvalidInputError("learning rates must be positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
         if self.source_iterations is not None and self.source_iterations < 0:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .mathutils import Array, as_float_array
+from .mathutils import Array, as_float_array, check_fields
 
 CIRCLE_RADIUS = 4.0
 
@@ -52,10 +52,11 @@ class DomainTransform:
     class_skew: tuple = ()  # empty means no per-class scaling
 
     def __post_init__(self):
+        check_fields(self)
         if self.noise_scale < 0.0:
             raise InvalidInputError("noise_scale must be >= 0")
-        self.translation = tuple(float(v) for v in self.translation)
-        self.class_skew = tuple(float(v) for v in self.class_skew)
+        self.translation = tuple(self.translation)
+        self.class_skew = tuple(self.class_skew)
 
 
 IDENTITY = DomainTransform()
@@ -70,6 +71,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_classes < 2:
             raise InvalidInputError("need at least 2 classes")
         if self.input_dim < 2:
@@ -78,6 +80,8 @@ class SyntheticSpec:
             raise InvalidInputError("need at least 1 sample per class")
         if not self.transforms:
             raise InvalidInputError("need at least one domain transform")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         for t in self.transforms:
             if t.translation and len(t.translation) != self.input_dim:
                 raise InvalidInputError(

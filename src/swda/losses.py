@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mathutils import Array, as_float_array
+from .mathutils import Array, as_float_array, check_fields
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,7 @@ class LossWeights:
     lam: float = 0.8
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.k1, self.k2, self.k3) < 0.0:
             raise InvalidInputError("loss weights k1, k2, k3 must be non-negative")
         # lam=1.0 admitted so the weak-set gate can be switched off entirely

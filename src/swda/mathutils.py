@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import math
 from typing import Callable
 
@@ -34,6 +35,38 @@ def as_float_array(x, ndim: int | None = None) -> Array:
     if ndim is not None and arr.ndim != ndim:
         raise InvalidInputError(f"expected a {ndim}-d array, got shape {arr.shape}")
     return arr
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, (float, np.floating)) and math.isfinite(v)
+
+
+def _list_of(accepts):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
+
+
+# (name, test) of the values each field annotation accepts, keyed by its
+# source text: the dataclasses postpone annotations
+_FIELD_RULES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_number),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "tuple[int, ...]": ("a list of positive integers", _list_of(lambda h: _is_int(h) and h >= 1)),
+    "tuple": ("a list of finite numbers", _list_of(_is_number)),
+}
+
+
+def check_fields(obj) -> None:
+    """Raise InvalidInputError unless each field of the dataclass ``obj`` holds
+    a value its annotation accepts; numpy scalars do, and a bool is no number."""
+    for f in dataclasses.fields(obj):
+        name, accepts = _FIELD_RULES.get(f.type, (None, None))
+        if accepts is not None and not accepts(value := getattr(obj, f.name)):
+            raise InvalidInputError(f"{f.name} must be {name}, got {value!r}")
 
 
 def softmax(logits) -> Array:

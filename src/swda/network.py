@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .mathutils import Array, as_float_array, softmax
+from .mathutils import Array, as_float_array, check_fields, softmax
 
 MOMENTUM = 0.9  # sgd_step's velocity decay
 
@@ -34,7 +34,8 @@ class NetworkConfig:
     tau: float = 20.0
 
     def __post_init__(self):
-        self.generator_hidden_dims = tuple(int(h) for h in self.generator_hidden_dims)
+        check_fields(self)
+        self.generator_hidden_dims = tuple(self.generator_hidden_dims)
         dims = (self.input_dim, self.num_classes, self.bottleneck_dim, *self.generator_hidden_dims)
         if any(d < 1 for d in dims):
             raise InvalidInputError("all network dimensions must be >= 1")
@@ -126,7 +127,9 @@ Gradients = ParamTree
 
 
 def add_trees(a: ParamTree, b: ParamTree) -> ParamTree:
-    return a.with_flat(a.flat + b.flat)
+    """Add ``b`` into ``a`` in place and return ``a``."""
+    a.flat += b.flat
+    return a
 
 
 def init_params(config: NetworkConfig, seed: int) -> NetworkParams:

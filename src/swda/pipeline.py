@@ -51,6 +51,7 @@ from .scaffolding import (
     DistanceGraph,
     build_distance_graph,
     centroids_for_domains,
+    check_label_range,
     check_source_classes,
     evaluate,
     peer_donors,
@@ -105,6 +106,8 @@ def _adaptation_run(
         raise InvalidDatasetError(f"target domain {target.name!r} is empty")
     if target.samples.shape[1] != source.samples.shape[1]:
         raise InvalidInputError("source and target dimensionality differ")
+    if target.labels is not None:
+        check_label_range(target, config.network.num_classes)
 
     start = time.perf_counter()
     w = config.weights

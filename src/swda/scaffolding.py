@@ -65,13 +65,19 @@ class DistanceGraph:
         return self.tensor.shape[2]
 
 
+def check_label_range(domain: Domain, num_classes: int) -> None:
+    """Reject a labeled domain with a label outside [0, num_classes)."""
+    labels = domain.labels
+    outside = sorted(set(labels[(labels < 0) | (labels >= num_classes)].tolist()))
+    if outside:
+        raise InvalidDatasetError(f"domain {domain.name!r} has labels {outside} outside [0, {num_classes})")
+
+
 def check_source_classes(domain: Domain, num_classes: int) -> None:
     if domain.labels is None:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels")
-    present = set(int(c) for c in domain.labels)
-    outside = sorted(c for c in present if not 0 <= c < num_classes)
-    if outside:
-        raise InvalidDatasetError(f"domain {domain.name!r} has labels {outside} outside [0, {num_classes})")
+    check_label_range(domain, num_classes)
+    present = set(domain.labels.tolist())
     missing = [c for c in range(num_classes) if c not in present]
     if missing:
         raise InvalidDatasetError(f"domain {domain.name!r} is missing classes {missing}")

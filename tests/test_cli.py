@@ -90,6 +90,24 @@ def test_generate_unknown_spec_key_exit_2(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"samples_per_class": 2.5, "transforms": [{}]}, "samples_per_class"),
+        ({"transforms": [{"rotation_deg": "x"}]}, "rotation_deg"),
+        ({"input_dim": 2, "transforms": [{"translation": ["a", 0.0]}]}, "translation"),
+        ({"seed": -1, "transforms": [{}]}, "seed"),
+    ],
+)
+def test_generate_spec_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, doc, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and key in errors[0] and "unexpected" not in errors[0]
+    assert not (tmp_path / "d").exists()
+
+
 def test_generate_invalid_json_exit_2(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("{not json")
@@ -425,6 +443,19 @@ def test_bad_source_label_exit_2(tmp_path, capsys, label, num_classes, message):
     assert run_train_single(tmp_path, cfg_path) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_target_label_outside_classes_exit_2(tmp_path, capsys):
+    # a labeled target is scored against its labels, so they must name classes
+    write_dataset(tmp_path)
+    lines = (tmp_path / "target.csv").read_text().splitlines()
+    lines[1:] = ["7," + line.split(",", 1)[1] for line in lines[1:]]
+    (tmp_path / "target.csv").write_text("\n".join(lines) + "\n")
+    cfg_path, _ = write_config(tmp_path)
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert "domain 'target' has labels [7] outside [0, 3)" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -796,6 +827,34 @@ def test_train_multi_jobs_below_one_exit_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "error: --jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_multi_repeated_target_name_exit_2(tmp_path, capsys):
+    # both targets would write to out/target/, the second over the first
+    write_dataset(tmp_path)
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        shutil.copy(tmp_path / "target.csv", tmp_path / sub / "target.csv")
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "multi"
+    rc = main(
+        [
+            "train-multi",
+            "--config",
+            str(cfg_path),
+            "--source",
+            str(tmp_path / "source.csv"),
+            "--targets",
+            str(tmp_path / "a" / "target.csv"),
+            str(tmp_path / "b" / "target.csv"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "repeated target names ['target']" in err and "file stem" in err
     assert not out.exists()
 
 

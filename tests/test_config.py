@@ -13,7 +13,9 @@ from swda.config import (
     derive_seed,
     stream_rng,
 )
+from swda.datasets import DomainTransform, SyntheticSpec
 from swda.errors import InvalidInputError
+from swda.losses import LossWeights
 from swda.network import NetworkConfig
 
 
@@ -47,6 +49,45 @@ def test_defaults_valid():
 def test_invalid_config_rejected(kw):
     with pytest.raises(InvalidInputError):
         small_config(**kw)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NetworkConfig(8, 6, tau=float("nan")),
+        lambda: LossWeights(k1=float("nan")),
+        lambda: small_config(max_iterations=2.5),
+        lambda: small_config(batch_size=True),
+        lambda: NetworkConfig(8, 6, generator_hidden_dims=(16.7,)),
+        lambda: NetworkConfig(8, 6, generator_hidden_dims=("16",)),
+        lambda: SyntheticSpec(samples_per_class=2.5),
+        lambda: SyntheticSpec(seed=-1),
+        lambda: DomainTransform(rotation_deg="x"),
+        lambda: DomainTransform(translation=("a",)),
+    ],
+    ids=[
+        "tau-nan",
+        "k1-nan",
+        "max_iterations-float",
+        "batch_size-bool",
+        "hidden-dims-float",
+        "hidden-dims-str",
+        "samples_per_class-float",
+        "spec-seed-negative",
+        "rotation-str",
+        "translation-str",
+    ],
+)
+def test_dataclass_field_of_wrong_type_or_range_rejected(make):
+    # the dataclasses check their own values, so library callers get the
+    # same rules as the CLI and nothing is silently coerced
+    with pytest.raises(InvalidInputError):
+        make()
+
+
+def test_numpy_scalars_accepted():
+    cfg = small_config(batch_size=np.int64(48), eta0_head=np.float64(0.1))
+    assert cfg.batch_size == 48 and cfg.eta0_head == 0.1
 
 
 def test_source_iterations_zero_allowed():

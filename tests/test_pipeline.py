@@ -10,7 +10,7 @@ import pytest
 
 from swda import mathutils, pipeline, scaffolding
 from swda.config import ExperimentConfig
-from swda.datasets import IDENTITY, DomainTransform, SyntheticSpec, generate
+from swda.datasets import IDENTITY, Domain, DomainTransform, SyntheticSpec, generate
 from swda.errors import InvalidDatasetError, InvalidInputError
 from swda.losses import LossWeights
 from swda.network import NetworkConfig
@@ -118,14 +118,19 @@ def test_identical_domains_high_accuracy():
 
 def test_empty_or_mismatched_target_rejected():
     source, target = tiny_problem()
-    from swda.datasets import Domain
-
     empty = Domain("t", np.zeros((0, 4)))
     with pytest.raises(InvalidDatasetError):
         train_single_target(tiny_config(), source, empty)
     narrow = Domain("t", target.samples[:, :3])
     with pytest.raises(InvalidInputError):
         train_single_target(tiny_config(), source, narrow)
+
+
+def test_target_label_outside_classes_rejected():
+    source, target = tiny_problem()
+    bad = Domain("t", target.samples, np.full(target.n, 7))
+    with pytest.raises(InvalidDatasetError, match=r"domain 't' has labels \[7\] outside \[0, 3\)"):
+        train_single_target(tiny_config(), source, bad)
 
 
 def test_ablation_weights_run():
