@@ -42,7 +42,13 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, (float, np.floating)) and math.isfinite(v)
+    """A finite int or float; an int too large for a float64 is no number."""
+    if not (_is_int(v) or isinstance(v, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _list_of(accepts):
@@ -79,9 +85,13 @@ def softmax(logits) -> Array:
         raise InvalidInputError("softmax of an empty input")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("softmax input must be finite")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return softmax_of_finite(z)
+
+
+def softmax_of_finite(z: Array) -> Array:
+    """softmax() of a non-empty, finite float64 array, without checking it."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def exact_norm(v: Array) -> float:

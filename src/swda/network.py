@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .mathutils import Array, as_float_array, check_fields, softmax
+from .mathutils import Array, as_float_array, check_fields, softmax_of_finite
 
 MOMENTUM = 0.9  # sgd_step's velocity decay
 
@@ -176,59 +176,79 @@ def forward(params: NetworkParams, inputs) -> ForwardResult:
         act = np.tanh(act @ layer.weight.T + layer.bias)
         hidden.append(act)
     raw = act @ params.bottleneck.weight.T + params.bottleneck.bias
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))  # np.linalg.norm's formula, minus its dispatch
+    if (norms == 0.0).any():
         raise DegenerateInputError("a bottleneck feature row has zero norm; cannot scale to tau")
     norm_features = raw * (params.tau / norms)[:, None]
     logits = norm_features @ params.classifier.T
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise DegenerateInputError("non-finite logits: the inputs are not finite, or the parameters have diverged")
-    probs = softmax(logits)
-    return ForwardResult(x, hidden, raw, norms, norm_features, logits, probs)
+    return ForwardResult(x, hidden, raw, norms, norm_features, logits, softmax_of_finite(logits))
+
+
+def _logit_grad(g, fwd: ForwardResult, what: str) -> Array:
+    g = as_float_array(g)
+    if g.shape != fwd.logits.shape:
+        raise InvalidInputError(f"{what} shape {g.shape} does not match logits {fwd.logits.shape}")
+    return g
 
 
 def backward(
     params: NetworkParams,
     fwd: ForwardResult,
     loss_grad_wrt_logits,
+    feature_grad_wrt_logits=None,
     reverse_below_classifier: bool = False,
-) -> Gradients:
+    out: ParamTree | None = None,
+) -> ParamTree:
     """Exact chain-rule gradients for every parameter.
 
-    With ``reverse_below_classifier`` set, the gradient flowing from the
-    classifier into the bottleneck and generator is multiplied by -1; the
-    classifier's own gradient is untouched.
-    """
-    g_logits = as_float_array(loss_grad_wrt_logits)
-    if g_logits.shape != fwd.logits.shape:
-        raise InvalidInputError(
-            f"loss gradient shape {g_logits.shape} does not match logits {fwd.logits.shape}"
-        )
-    tau = params.tau
-    grads = params.with_flat(np.empty_like(params.flat))
+    Two logit gradients drive the pass: ``loss_grad_wrt_logits`` (g_cls)
+    reaches the classifier, and ``feature_grad_wrt_logits`` (g_feat) flows
+    from the classifier into the bottleneck and generator; g_feat defaults
+    to g_cls, which is plain backprop of one loss. Gradient reversal is
+    linear, so one pass serves a sum of losses where some reach the
+    feature path reversed: g_cls sums them all, g_feat flips the reversed
+    ones. ``reverse_below_classifier`` is the one-loss case g_feat = -g_cls.
 
-    grads.classifier[...] = g_logits.T @ fwd.norm_features
-    d_v = g_logits @ params.classifier
+    The gradients go into ``out``, a tree with this layout whose every leaf
+    is overwritten, and which is returned; without it a fresh tree is made.
+    """
+    g_cls = _logit_grad(loss_grad_wrt_logits, fwd, "loss gradient")
     if reverse_below_classifier:
-        d_v = -d_v
+        if feature_grad_wrt_logits is not None:
+            raise InvalidInputError("pass a feature gradient or reverse_below_classifier, not both")
+        g_feat = -g_cls
+    elif feature_grad_wrt_logits is None:
+        g_feat = g_cls
+    else:
+        g_feat = _logit_grad(feature_grad_wrt_logits, fwd, "feature gradient")
+    if out is None:
+        out = params.with_flat(np.empty_like(params.flat))
+    elif out.shapes != params.shapes:
+        raise InvalidInputError(f"gradient tree has leaf shapes {out.shapes}, parameters have {params.shapes}")
+    tau = params.tau
+
+    out.classifier[...] = g_cls.T @ fwd.norm_features
+    d_v = g_feat @ params.classifier
 
     # norm-scaling backward: v = tau * u / |u| with u the raw feature row
     raw, norms = fwd.raw_features, fwd.feature_norms
-    row_dot = np.sum(d_v * raw, axis=1)
+    row_dot = (d_v * raw).sum(axis=1)
     d_raw = (tau / norms)[:, None] * (d_v - (row_dot / norms**2)[:, None] * raw)
 
     gen_input = fwd.hidden[-1] if params.generator else fwd.inputs
-    grads.bottleneck.weight[...] = d_raw.T @ gen_input
-    grads.bottleneck.bias[...] = d_raw.sum(axis=0)
+    out.bottleneck.weight[...] = d_raw.T @ gen_input
+    out.bottleneck.bias[...] = d_raw.sum(axis=0)
     d_act = d_raw @ params.bottleneck.weight
 
     for i in reversed(range(len(params.generator))):
         d_z = d_act * (1.0 - fwd.hidden[i] ** 2)
         below = fwd.hidden[i - 1] if i > 0 else fwd.inputs
-        grads.generator[i].weight[...] = d_z.T @ below
-        grads.generator[i].bias[...] = d_z.sum(axis=0)
+        out.generator[i].weight[...] = d_z.T @ below
+        out.generator[i].bias[...] = d_z.sum(axis=0)
         d_act = d_z @ params.generator[i].weight
-    return grads
+    return out
 
 
 def sgd_step(params: NetworkParams, grads: Gradients, velocity: Array, lr: float, generator_lr: float) -> None:

@@ -2,16 +2,20 @@
 multi-target procedure, evaluation, and metrics export.
 
 Per adaptation iteration, in order: (1) source batch, cross-entropy step;
-(2) target batch, information-maximization and adversarial-logit losses;
-(3) if the strong set is initialized, fuse strong+weak samples, select a
-pseudo-labeled batch mirroring the predicted label distribution, and
-compute the strong-weak loss on it; (4) one optimizer step on the
-weighted sum of the three target losses, routing the adversarial term
-through gradient reversal; (5) weak-set update from the target batch;
-(6) periodic strong-set refresh over all target samples. Step (3) first
-swaps each class's strong entry for a sample drawn from that class's peer
-donors; only multi-target part 3 has donors, fixed once per run and
-re-drawn from every iteration.
+(2) once the strong set exists, fuse each class's strong and weak samples
+into one row; (3) one forward pass over the target batch with the fused
+rows stacked below it; (4) from it, the information-maximization and
+adversarial-logit losses on the target rows and, once the strong set
+exists, the strong-weak loss on a pseudo-labeled batch mirroring the
+batch's predicted label distribution, gathered from the fused rows;
+(5) one backward pass and one optimizer step on the weighted sum of the
+three losses, routing the adversarial term through gradient reversal;
+(6) weak-set update from the target batch; (7) periodic strong-set
+refresh over all target samples, sharing its forward pass with an
+accuracy check due on the same iteration. Step (2) first swaps each
+class's strong entry for a sample drawn from that class's peer donors;
+only multi-target part 3 has donors, fixed once per run and re-drawn
+from every iteration.
 """
 
 from __future__ import annotations
@@ -38,17 +42,18 @@ from .datasets import Domain
 from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError
 from .losses import adversarial_logit_loss, info_max_loss, strong_weak_loss
 from .mathutils import serial_blas
-from .network import NetworkParams, add_trees, backward, forward, init_params, sgd_step
+from .network import NetworkParams, backward, forward, init_params, sgd_step
 from .repsets import (
     empty_weak_set,
-    fuse,
+    fused_rows,
     harvest_pseudo_strong,
-    select_sw_batch,
+    sw_rows,
     update_strong_set,
     update_weak_set,
 )
 from .scaffolding import (
     DistanceGraph,
+    accuracy,
     build_distance_graph,
     centroids_for_domains,
     check_label_range,
@@ -90,6 +95,18 @@ def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
         )
 
 
+def _check_domains(config: ExperimentConfig, source: Domain, targets: list) -> None:
+    """Reject a source or target an adaptation run cannot train on."""
+    check_source_classes(source, config.network.num_classes)
+    for target in targets:
+        if target.n == 0:
+            raise InvalidDatasetError(f"target domain {target.name!r} is empty")
+        if target.samples.shape[1] != source.samples.shape[1]:
+            raise InvalidInputError(f"source and target {target.name!r} dimensionality differ")
+        if target.labels is not None:
+            check_label_range(target, config.network.num_classes)
+
+
 @serial_blas()
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _adaptation_run(
@@ -98,70 +115,73 @@ def _adaptation_run(
     target: Domain,
     donors: list,
 ):
-    """One adaptation run; donors[l] holds the (sample, peer slot) pairs
-    that may replace the class-l strong entry (see peer_donors), and a run
-    without peers passes []."""
-    check_source_classes(source, config.network.num_classes)
-    if target.n == 0:
-        raise InvalidDatasetError(f"target domain {target.name!r} is empty")
-    if target.samples.shape[1] != source.samples.shape[1]:
-        raise InvalidInputError("source and target dimensionality differ")
-    if target.labels is not None:
-        check_label_range(target, config.network.num_classes)
-
+    """One adaptation run on domains _check_domains accepts; donors[l] holds
+    the (sample, peer slot) pairs that may replace the class-l strong entry
+    (see peer_donors), and a run without peers passes []."""
     start = time.perf_counter()
     w = config.weights
+    k = config.network.num_classes
     params = init_params(config.network, config.seed)
     velocity = np.zeros_like(params.flat)
+    grads = params.with_flat(np.empty_like(params.flat))  # both steps' backward writes here
     src_sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
     tgt_sampler = BatchSampler(target.n, config.batch_size, stream_rng(config.seed, STREAM_TARGET))
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
     peer_rng = stream_rng(config.seed, STREAM_PEER)
 
     strong = None
-    weak = empty_weak_set(config.network.num_classes)
+    weak = empty_weak_set(k)
     metrics = RunMetrics([], [], [], [], [], [], None)
 
     try:
         for it in range(config.max_iterations):
             # (1) supervised step on the source
             q = it / config.max_iterations
-            ce, lr_head, lr_gen = source_step(config, params, velocity, source, src_sampler, q)
+            ce, lr_head, lr_gen = source_step(config, params, velocity, grads, source, src_sampler, q)
 
-            # (2) unsupervised losses on a target batch
-            tidx = tgt_sampler.next_batch()
-            fwd_t = forward(params, target.samples[tidx])
-            im = info_max_loss(fwd_t.probs)
-            all_ = adversarial_logit_loss(fwd_t.logits, fwd_t.probs, w.lam)
-            grads = add_trees(
-                backward(params, fwd_t, w.k1 * im.grad_wrt_logits),
-                backward(params, fwd_t, w.k2 * all_.grad_wrt_logits, reverse_below_classifier=True),
-            )
+            # (2) fused strong-weak rows once the strong set exists; each
+            # iteration re-draws peer replacements so no single draw
+            # dominates a refresh window
+            batch = target.samples[tgt_sampler.next_batch()]
+            n = batch.shape[0]
+            if strong is None:
+                rows = batch
+            else:
+                classes, fused = fused_rows(replace_with_peers(strong, donors, peer_rng), weak, fusion_rng)
+                rows = np.concatenate([batch, fused])
 
-            # (3) strong-weak supervision once the strong set exists; each
-            # iteration re-draws peer replacements so no single draw dominates
-            # a refresh window
+            # (3) one forward pass over the batch and the fused rows below it
+            fwd = forward(params, rows)
+            probs = fwd.probs[:n]
+
+            # (4) the three target losses; L_SW reads each predicted label's
+            # fused row and its logit gradient is summed back onto that row
+            im = info_max_loss(probs)
+            all_ = adversarial_logit_loss(fwd.logits[:n], probs, w.lam)
+            g_im, g_all = w.k1 * im.grad_wrt_logits, w.k2 * all_.grad_wrt_logits
+            g_sw = np.zeros((rows.shape[0] - n, k))
             sw_value = 0.0
             if strong is not None:
-                fused = fuse(replace_with_peers(strong, donors, peer_rng), weak, fusion_rng)
-                pred = np.argmax(fwd_t.probs, axis=1)
-                sw_batch = select_sw_batch(fused, pred)
-                if sw_batch.inputs.shape[0]:
-                    fwd_sw = forward(params, sw_batch.inputs)
-                    sw = strong_weak_loss(fwd_sw.probs, sw_batch.pseudo_labels)
-                    sw_value = sw.value
-                    grads = add_trees(grads, backward(params, fwd_sw, w.k3 * sw.grad_wrt_logits))
+                picked, labels = sw_rows(classes, k, np.argmax(probs, axis=1))
+                sw = strong_weak_loss(fwd.probs[n + picked], labels)
+                sw_value = sw.value
+                np.add.at(g_sw, picked, w.k3 * sw.grad_wrt_logits)
 
-            # (4) one optimizer step for the combined target objective
-            sgd_step(params, grads, velocity, lr_head, lr_gen)
+            # (5) one backward pass and one optimizer step for the combined
+            # target objective: L_ALL reaches the classifier as is and the
+            # feature path reversed
+            g_cls = np.concatenate([g_im + g_all, g_sw])
+            g_feat = np.concatenate([g_im - g_all, g_sw])
+            sgd_step(params, backward(params, fwd, g_cls, g_feat, out=grads), velocity, lr_head, lr_gen)
 
-            # (5) weak set follows every batch
-            weak = update_weak_set(weak, target.samples[tidx], fwd_t.probs, w.lam)
+            # (6) weak set follows every batch
+            weak = update_weak_set(weak, batch, probs, w.lam)
 
-            # (6) periodic strong refresh over the whole target
+            # (7) periodic strong refresh over the whole target
+            full = None
             if (it + 1) % config.strong_refresh_period == 0:
-                fwd_full = forward(params, target.samples)
-                strong = update_strong_set(target.samples, fwd_full.norm_features, fwd_full.probs, target.name)
+                full = forward(params, target.samples)
+                strong = update_strong_set(target.samples, full.norm_features, full.probs, target.name)
 
             metrics.loss_ce.append(ce)
             metrics.loss_im.append(im.value)
@@ -169,14 +189,15 @@ def _adaptation_run(
             metrics.loss_sw.append(sw_value)
             if (it + 1) % config.accuracy_eval_period == 0 and target.labels is not None:
                 metrics.accuracy_iterations.append(it + 1)
-                metrics.accuracy_series.append(evaluate(params, target))
+                acc = evaluate(params, target) if full is None else accuracy(full.probs, target.labels)
+                metrics.accuracy_series.append(acc)
     except (FloatingPointError, DegenerateInputError) as exc:
         raise DegenerateInputError(f"target {target.name!r}, iteration {it + 1}: {exc}") from exc
 
+    full = forward(params, target.samples)
     if target.labels is not None:
-        metrics.final_accuracy = evaluate(params, target)
-    probs_full = forward(params, target.samples).probs
-    pseudo = harvest_pseudo_strong(target.samples, probs_full, w.lam)
+        metrics.final_accuracy = accuracy(full.probs, target.labels)
+    pseudo = harvest_pseudo_strong(target.samples, full.probs, w.lam)
     metrics.wall_clock_seconds = time.perf_counter() - start
     return params, metrics, pseudo
 
@@ -184,6 +205,7 @@ def _adaptation_run(
 def train_single_target(config: ExperimentConfig, source: Domain, target: Domain):
     """Adaptation to one unlabeled target; returns (params, metrics,
     harvested pseudo strong set)."""
+    _check_domains(config, source, [target])
     _warn_if_no_strong_set(config)
     return _adaptation_run(config, source, target, [])
 
@@ -237,6 +259,7 @@ def train_multi_target(
     """
     if not targets:
         raise InvalidInputError("need at least one target domain")
+    _check_domains(config, source, targets)
     _warn_if_no_strong_set(config)
 
     part1 = _run_tasks(

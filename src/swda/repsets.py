@@ -204,16 +204,14 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
     return StrongSet([StrongEntry(X[i].copy(), domain) for i in picks])
 
 
-def _confident_ranking(P: Array, lam: float) -> tuple:
-    """(ranking, top_p): ranking[j] lists the rows whose argmax is class j
-    with probability above lam, best first, ties to the lowest row;
-    top_p[i] is row i's largest probability."""
-    n, k = P.shape
-    top = np.argmax(P, axis=1)  # ties break to the lowest class
-    top_p = P[np.arange(n), top]
+def _confident_rows(P: Array, lam: float) -> tuple:
+    """(rows, top, top_p): top[i] is row i's argmax class, ties to the
+    lowest, and top_p[i] its probability; rows lists the rows with top_p
+    above lam by class, then best first, ties to the lowest row."""
+    top = np.argmax(P, axis=1)
+    top_p = P[np.arange(P.shape[0]), top]
     rows = np.flatnonzero(top_p > lam)
-    rows = rows[np.lexsort((-top_p[rows], top[rows]))]  # stable: equal keys keep row order
-    return np.split(rows, np.searchsorted(top[rows], np.arange(1, k))), top_p
+    return rows[np.lexsort((-top_p[rows], top[rows]))], top, top_p  # stable: equal keys keep row order
 
 
 def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
@@ -224,51 +222,78 @@ def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
     k = P.shape[1]
     if len(weak.entries) != k:
         raise InvalidInputError(f"weak set has {len(weak.entries)} classes, probs has {k}")
+    rows, top, top_p = _confident_rows(P, lam)
+    cls = top[rows]
+    first = np.ones(rows.size, dtype=bool)  # the best row of each class comes first
+    first[1:] = cls[1:] != cls[:-1]
     entries = list(weak.entries)
-    ranking, top_p = _confident_ranking(P, lam)
-    for j, rows in enumerate(ranking):
-        if rows.size:
-            entries[j] = WeakEntry(X[rows[0]].copy(), float(top_p[rows[0]]))
+    for i, j in zip(rows[first].tolist(), cls[first].tolist()):
+        entries[j] = WeakEntry(X[i].copy(), float(top_p[i]))
     return WeakSet(entries)
 
 
-def fuse(strong: StrongSet, weak: WeakSet, rng) -> list:
-    """Blend x_sw = r*x_strong + (1-r)*x_weak with r ~ U(0,1), one fresh r
-    per class; a class without a weak entry keeps its strong sample (r=1)."""
+def fused_rows(strong: StrongSet, weak: WeakSet, rng) -> tuple:
+    """(classes, F): the classes that have a strong entry, ascending, and
+    F[i] the fused sample of class classes[i], x_sw = r*x_strong +
+    (1-r)*x_weak with r ~ U(0,1), one fresh r per class that also has a
+    weak entry; a class without one keeps its strong sample (r=1).
+
+    The r of all blended classes come from one draw of the generator in
+    class order, the same doubles as one scalar draw per class; a draw of
+    exactly 0 is redrawn, shifting the later classes onto the next draws,
+    as a scalar draw-until-nonzero loop would."""
     if not strong.populated:
         raise NotInitializedError("strong set is empty; fusion unavailable")
     if len(weak.entries) != len(strong.entries):
         raise InvalidInputError("strong and weak sets disagree on class count")
-    fused = []
-    for st, wk in zip(strong.entries, weak.entries):
-        if st is None:
-            fused.append(None)
-        elif wk is None:
-            fused.append(st.x.copy())
-        else:
-            r = float(rng.uniform(0.0, 1.0))
-            while r == 0.0:  # the blend coefficient lives in the open interval
-                r = float(rng.uniform(0.0, 1.0))
-            fused.append(r * st.x + (1.0 - r) * wk.x)
+    classes = [j for j, st in enumerate(strong.entries) if st is not None]
+    F = np.array([strong.entries[j].x for j in classes], dtype=np.float64)
+    blend = [i for i, j in enumerate(classes) if weak.entries[j] is not None]
+    if blend:
+        r = rng.uniform(0.0, 1.0, size=len(blend))
+        while not r.all():  # r lives in the open interval
+            i = np.argmin(r)  # the first zero
+            r[i:] = np.append(r[i + 1 :], rng.uniform(0.0, 1.0))
+        W = np.array([weak.entries[classes[i]].x for i in blend], dtype=np.float64)
+        F[blend] = r[:, None] * F[blend] + (1.0 - r)[:, None] * W
+    return np.array(classes, dtype=np.int64), F
+
+
+def fuse(strong: StrongSet, weak: WeakSet, rng) -> list:
+    """fused_rows as a per-class list: the fused sample of each class, or
+    None for a class without a strong entry."""
+    classes, F = fused_rows(strong, weak, rng)
+    fused = [None] * len(strong.entries)
+    for j, row in zip(classes.tolist(), F):
+        fused[j] = row
     return fused
+
+
+def sw_rows(classes: Array, num_classes: int, pred: Array) -> tuple:
+    """(rows, labels) of the strong-weak batch: for each predicted label, in
+    order, whose class is in ``classes``, the row of its fused sample in
+    fused_rows' F and the label; other predictions are dropped. ``pred``
+    must be an int array with entries in [0, num_classes)."""
+    slot = np.full(num_classes, -1)
+    slot[classes] = np.arange(classes.size)
+    rows = slot[pred]
+    kept = rows >= 0
+    return rows[kept], pred[kept].astype(np.int64)
 
 
 def select_sw_batch(fused: list, pred_labels) -> FusedBatch:
     """One fused sample per predicted label, preserving multiplicity and
     order; labels whose class has no fused vector are dropped."""
     y = np.asarray(pred_labels)
-    if y.ndim != 1 or y.size == 0:
-        raise InvalidInputError("pred_labels must be a non-empty 1-d index array")
+    if y.ndim != 1 or y.size == 0 or not np.issubdtype(y.dtype, np.integer):
+        raise InvalidInputError("pred_labels must be a non-empty 1-d integer index array")
     k = len(fused)
     if y.min() < 0 or y.max() >= k:
         raise InvalidInputError(f"predicted labels must lie in [0, {k})")
-    rows = [(fused[int(c)], int(c)) for c in y if fused[int(c)] is not None]
-    if not rows:
-        dim = next((v.shape[0] for v in fused if v is not None), 0)
-        return FusedBatch(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
-    inputs = np.stack([r[0] for r in rows])
-    labels = np.array([r[1] for r in rows], dtype=np.int64)
-    return FusedBatch(inputs, labels)
+    classes = np.array([j for j, v in enumerate(fused) if v is not None], dtype=np.int64)
+    F = np.stack([fused[j] for j in classes.tolist()]) if classes.size else np.zeros((0, 0))
+    rows, labels = sw_rows(classes, k, y)
+    return FusedBatch(F[rows], labels)
 
 
 def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStrongSet:
@@ -277,8 +302,9 @@ def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStr
     X, P = _check_pair(inputs, probs, "inputs", "probs")
     if cap < 1:
         raise InvalidInputError("cap must be >= 1")
-    ranking, _ = _confident_ranking(P, lam)
-    return PseudoStrongSet([[X[i].copy() for i in rows[:cap]] for rows in ranking])
+    rows, top, _ = _confident_rows(P, lam)
+    ranking = np.split(rows, np.searchsorted(top[rows], np.arange(1, P.shape[1])))
+    return PseudoStrongSet([[X[i].copy() for i in pool[:cap]] for pool in ranking])
 
 
 # --- checkpoint-format serialization -----------------------------------------

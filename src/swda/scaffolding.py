@@ -89,19 +89,24 @@ def evaluate(params: NetworkParams, domain: Domain) -> float:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels to evaluate against")
     if domain.n == 0:
         raise InvalidDatasetError(f"domain {domain.name!r} is empty")
-    probs = forward(params, domain.samples).probs
-    return float(np.mean(np.argmax(probs, axis=1) == domain.labels))
+    return accuracy(forward(params, domain.samples).probs, domain.labels)
 
 
-def source_step(config: ExperimentConfig, params, velocity, source: Domain, sampler: BatchSampler, q: float):
+def accuracy(probs: Array, labels: Array) -> float:
+    """Fraction of rows of probs whose argmax hits the label."""
+    return float(np.mean(np.argmax(probs, axis=1) == labels))
+
+
+def source_step(config: ExperimentConfig, params, velocity, grads, source: Domain, sampler: BatchSampler, q: float):
     """The supervised half of every iteration: a cross-entropy step on the
-    next source batch at training progress q. Returns (cross-entropy value,
-    head learning rate, generator learning rate)."""
+    next source batch at training progress q, with its gradients written
+    into the tree ``grads``. Returns (cross-entropy value, head learning
+    rate, generator learning rate)."""
     lr_head, lr_gen = lr_schedule(q, config.eta0_head), lr_schedule(q, config.eta0_generator)
     idx = sampler.next_batch()
     fwd = forward(params, source.samples[idx])
     ce = cross_entropy(fwd.probs, source.labels[idx])
-    sgd_step(params, backward(params, fwd, ce.grad_wrt_logits), velocity, lr_head, lr_gen)
+    sgd_step(params, backward(params, fwd, ce.grad_wrt_logits, out=grads), velocity, lr_head, lr_gen)
     return ce.value, lr_head, lr_gen
 
 
@@ -121,13 +126,14 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
     if budget == 0:
         return best_params
     velocity = np.zeros_like(params.flat)
+    grads = params.with_flat(np.empty_like(params.flat))
     sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
 
     best_acc = -1.0
     consecutive_drops = 0
     try:
         for it in range(budget):
-            source_step(config, params, velocity, source, sampler, it / budget)
+            source_step(config, params, velocity, grads, source, sampler, it / budget)
             if (it + 1) % SOURCE_EVAL_PERIOD == 0:
                 acc = evaluate(params, source)
                 if acc > best_acc:

@@ -14,7 +14,7 @@ import pytest
 
 import swda
 from swda import checkpoint as ckpt
-from swda import cli
+from swda import cli, pipeline
 from swda.cli import main
 from swda.config import ExperimentConfig
 from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, save_csv
@@ -369,6 +369,18 @@ def test_config_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, key, raw, 
     assert run_train_single(tmp_path, cfg_path) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["tau", "k1", "eta0_head"])
+def test_float_key_given_integer_beyond_float64_exit_2(tmp_path, capsys, key):
+    # a 401-digit JSON integer has no float64: a config error when the
+    # config is built, not a numerical failure once training uses it
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, extra={key: 10**400})
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a finite number" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -827,6 +839,43 @@ def test_train_multi_jobs_below_one_exit_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "error: --jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda line: re.sub(r"^\d+,", "7,", line), "domain 'bad' has labels [7] outside [0, 3)"),
+        (lambda line: line.rsplit(",", 1)[0], "source and target 'bad' dimensionality differ"),
+    ],
+    ids=["label-range", "width"],
+)
+def test_train_multi_bad_second_target_exit_2_before_training(tmp_path, capsys, monkeypatch, edit, message):
+    # every target is checked before part 1 trains the first one
+    write_dataset(tmp_path)
+    lines = (tmp_path / "target.csv").read_text().splitlines()
+    (tmp_path / "bad.csv").write_text("\n".join(edit(line) for line in lines) + "\n")
+    runs = []
+    monkeypatch.setattr(pipeline, "_adaptation_run", lambda *args: runs.append(args))
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "multi"
+    rc = main(
+        [
+            "train-multi",
+            "--config",
+            str(cfg_path),
+            "--source",
+            str(tmp_path / "source.csv"),
+            "--targets",
+            str(tmp_path / "target.csv"),
+            str(tmp_path / "bad.csv"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2 and runs == []
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

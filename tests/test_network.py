@@ -170,6 +170,43 @@ def test_gradient_reversal_flips_only_lower_tree():
     assert np.array_equal(reversed_.bottleneck.bias, -plain.bottleneck.bias)
 
 
+def test_backward_two_logit_gradients_sum_the_separate_passes():
+    # one pass with g_cls = a + b and g_feat = a - b is backprop of a plus
+    # backprop of b through gradient reversal
+    params = init_params(SMALL, 5)
+    rng = np.random.default_rng(5)
+    fwd = forward(params, rng.normal(size=(7, 4)))
+    a, b = rng.normal(size=fwd.logits.shape), rng.normal(size=fwd.logits.shape)
+    folded = backward(params, fwd, a + b, a - b)
+    reversed_b = backward(params, fwd, b, reverse_below_classifier=True)
+    separate = backward(params, fwd, a).flat + reversed_b.flat
+    assert np.allclose(folded.flat, separate, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(backward(params, fwd, a, a).flat, backward(params, fwd, a).flat)
+    assert np.array_equal(backward(params, fwd, a, -a).flat, backward(params, fwd, a, reverse_below_classifier=True).flat)
+
+
+def test_backward_overwrites_the_given_tree():
+    params = init_params(SMALL, 6)
+    fwd = forward(params, np.random.default_rng(6).normal(size=(5, 4)))
+    g = np.random.default_rng(7).normal(size=fwd.logits.shape)
+    out = params.with_flat(np.full_like(params.flat, np.nan))
+    assert backward(params, fwd, g, out=out) is out
+    assert np.array_equal(out.flat, backward(params, fwd, g).flat)
+
+
+def test_backward_rejects_bad_feature_gradient_or_tree():
+    params = init_params(SMALL, 0)
+    fwd = forward(params, np.ones((2, 4)))
+    g = np.zeros_like(fwd.logits)
+    with pytest.raises(InvalidInputError, match="not both"):
+        backward(params, fwd, g, g, reverse_below_classifier=True)
+    with pytest.raises(InvalidInputError, match="feature gradient shape"):
+        backward(params, fwd, g, np.zeros((2, 5)))
+    other = init_params(NetworkConfig(input_dim=4, generator_hidden_dims=(8,), bottleneck_dim=5, num_classes=3), 0)
+    with pytest.raises(InvalidInputError, match="gradient tree"):
+        backward(params, fwd, g, out=other)
+
+
 def test_sgd_zero_grad_no_change():
     params = init_params(SMALL, 0)
     before = params.flat.copy()

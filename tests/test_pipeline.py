@@ -305,6 +305,23 @@ def openblas_or_skip():
     return threads
 
 
+@pytest.mark.parametrize("accuracy_period, solo_checks", [(40, 0), (30, 3)])
+def test_full_target_passes_are_shared(monkeypatch, accuracy_period, solo_checks):
+    # one forward pass per source step and per target step; a refresh
+    # (every 40 of 120 iterations) serves an accuracy check due on the same
+    # iteration, and the end of the run scores and harvests from one pass
+    source, target = tiny_problem()
+    passes, solo = [], []
+    forward, evaluate = pipeline.forward, pipeline.evaluate
+    monkeypatch.setattr(pipeline, "forward", lambda *args: passes.append(1) or forward(*args))
+    monkeypatch.setattr(scaffolding, "forward", lambda *args: passes.append(1) or forward(*args))
+    monkeypatch.setattr(pipeline, "evaluate", lambda *args: solo.append(1) or evaluate(*args))
+    _, metrics, _ = train_single_target(tiny_config(accuracy_eval_period=accuracy_period), source, target)
+    assert metrics.accuracy_iterations == list(range(accuracy_period, 121, accuracy_period))
+    assert len(solo) == solo_checks
+    assert len(passes) == 2 * 120 + 3 + solo_checks + 1
+
+
 def test_training_runs_on_one_blas_thread_and_restores_count(monkeypatch):
     get, set_ = openblas_or_skip()
     seen = []

@@ -37,7 +37,8 @@ def test_reference_outputs_match(fresh, reference):
     kept, digests, _ = fresh
     exact = make.blas_build() == reference["blas"]
     print(f"reference runs: {'exact' if exact else f'curve tolerance {CURVE_TOL:g}'} mode")
-    assert sorted(kept) == sorted(p.relative_to(make.HERE).as_posix() for p in make.HERE.rglob("*") if p.name in make.KEPT)
+    committed = [p.relative_to(make.HERE).as_posix() for p in make.HERE.rglob("*") if p.name in make.KEPT]
+    assert sorted(kept) == sorted(committed)
     assert sorted(digests) == sorted(reference["digests"])
     if exact:
         for rel, data in kept.items():

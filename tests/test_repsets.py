@@ -20,10 +20,12 @@ from swda.repsets import (
     compute_centroids,
     empty_weak_set,
     fuse,
+    fused_rows,
     harvest_pseudo_strong,
     pseudo_from_arrays,
     pseudo_to_arrays,
     select_sw_batch,
+    sw_rows,
     update_strong_set,
     update_weak_set,
 )
@@ -345,6 +347,75 @@ def test_fuse_draws_fresh_coefficient_per_class():
     assert rs[0] != rs[1]  # and across classes within one call
 
 
+def _scalar_fuse(strong, weak, rng):
+    """fuse as one scalar draw per blended class, redrawing zeros."""
+    fused = []
+    for st, wk in zip(strong.entries, weak.entries):
+        if st is None or wk is None:
+            fused.append(None if st is None else st.x.copy())
+            continue
+        r = float(rng.uniform(0.0, 1.0))
+        while r == 0.0:
+            r = float(rng.uniform(0.0, 1.0))
+        fused.append(r * st.x + (1.0 - r) * wk.x)
+    return fused
+
+
+class QueuedUniform:
+    """Stands in for a generator whose uniform draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        out, self.draws = np.array(self.draws[:size]), self.draws[size:]
+        return out
+
+
+def test_fused_rows_match_one_scalar_draw_per_class():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        k, d = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        # the last class always has a strong entry, so the set is populated
+        present = [rng.random() < 0.8 for _ in range(k - 1)] + [True]
+        strong = _strong_of([rng.normal(size=d) if p else None for p in present])
+        weak = _weak_of([rng.normal(size=d) if rng.random() < 0.7 else None for _ in range(k)])
+        seed = int(rng.integers(2**31))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        classes, F = fused_rows(strong, weak, a)
+        expected = _scalar_fuse(strong, weak, b)
+        assert classes.tolist() == [j for j, v in enumerate(expected) if v is not None]
+        assert F.tobytes() == np.array([v for v in expected if v is not None]).tobytes()
+        assert a.random() == b.random()  # as many draws consumed
+
+
+def _scalar_fuse_draws(draws):
+    """The blend coefficients a draw-until-nonzero loop takes from draws, 3 classes."""
+    draws, taken = list(draws), []
+    for _ in range(3):
+        r = draws.pop(0)
+        while r == 0.0:
+            r = draws.pop(0)
+        taken.append(r)
+    return taken
+
+
+def test_fused_rows_redraw_a_zero_coefficient_in_draw_order():
+    strong = _strong_of([[0.0], [0.0], [0.0]])
+    weak = _weak_of([[1.0], [1.0], [1.0]])
+    draws = [0.5, 0.0, 0.25, 0.0, 0.75, 0.125]
+    _, F = fused_rows(strong, weak, QueuedUniform(draws))
+    assert F.ravel().tolist() == [1.0 - r for r in _scalar_fuse_draws(draws)]
+
+
+def test_sw_rows_gather_rule():
+    # classes 0 and 2 have fused rows 0 and 1; class 1 has none
+    rows, labels = sw_rows(np.array([0, 2]), 3, np.array([2, 1, 0, 2]))
+    assert rows.tolist() == [1, 0, 1] and labels.tolist() == [2, 0, 2]
+
+
 def test_select_sw_batch_mirrors_predictions():
     fused = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), None]
     batch = select_sw_batch(fused, np.array([1, 0, 1, 2, 1]))
@@ -365,6 +436,8 @@ def test_select_sw_batch_rejects_bad_labels():
         select_sw_batch([np.zeros(2)], np.array([1]))
     with pytest.raises(InvalidInputError):
         select_sw_batch([np.zeros(2)], np.zeros(0, dtype=int))
+    with pytest.raises(InvalidInputError):
+        select_sw_batch([np.zeros(2)], np.array([0.0]))
 
 
 # --- pseudo strong pools ------------------------------------------------------
