@@ -43,10 +43,8 @@ def _is_int(v) -> bool:
 
 def _is_number(v) -> bool:
     """A finite int or float; an int too large for a float64 is no number."""
-    if not (_is_int(v) or isinstance(v, (float, np.floating))):
-        return False
     try:
-        return math.isfinite(v)
+        return (_is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
     except OverflowError:
         return False
 
@@ -151,19 +149,27 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
 )
 
 
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None when there is none (another BLAS, or no /proc)."""
+def _mapped_openblas() -> list:
+    """The OpenBLAS libraries mapped into this process, loaded with ctypes;
+    none under another BLAS, or without /proc."""
     try:
         with open(_PROC_MAPS) as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
     except OSError:
-        return None
+        return []
+    libs = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return libs
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None when there is none."""
+    for lib in _mapped_openblas():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)

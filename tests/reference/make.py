@@ -34,7 +34,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from swda import cli, network  # noqa: E402
+from swda import cli, mathutils, network  # noqa: E402
 from swda.datasets import (  # noqa: E402
     generate,
     make_between_geometry,
@@ -125,22 +125,13 @@ def blas_build() -> dict:
     """numpy version plus the configuration string and core name of the
     OpenBLAS mapped into this process (None for both without one)."""
     build = {"numpy": np.__version__, "openblas": None, "core": None}
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return build
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in mathutils._mapped_openblas():
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
                 config, core = f"{prefix}_get_config{suffix}", f"{prefix}_get_corename{suffix}"
                 if hasattr(lib, config) and hasattr(lib, core):
                     for fn in (getattr(lib, config), getattr(lib, core)):
-                        fn.restype = ctypes.c_char_p
+                        fn.argtypes, fn.restype = [], ctypes.c_char_p
                     build["openblas"] = getattr(lib, config)().decode()
                     build["core"] = getattr(lib, core)().decode()
                     return build
