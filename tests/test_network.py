@@ -182,7 +182,8 @@ def test_backward_two_logit_gradients_sum_the_separate_passes():
     separate = backward(params, fwd, a).flat + reversed_b.flat
     assert np.allclose(folded.flat, separate, rtol=1e-12, atol=1e-14)
     assert np.array_equal(backward(params, fwd, a, a).flat, backward(params, fwd, a).flat)
-    assert np.array_equal(backward(params, fwd, a, -a).flat, backward(params, fwd, a, reverse_below_classifier=True).flat)
+    flipped = backward(params, fwd, a, reverse_below_classifier=True)
+    assert np.array_equal(backward(params, fwd, a, -a).flat, flipped.flat)
 
 
 def test_backward_overwrites_the_given_tree():
