@@ -9,15 +9,12 @@ path maximizes it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .mathutils import Array, as_float_array, check_fields
-
-log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
 
@@ -26,6 +23,7 @@ PROB_FLOOR = 1e-12
 class LossOutput:
     value: float
     grad_wrt_logits: Array  # (n, k)
+    clamped: int = 0  # cross_entropy: true-class probabilities raised to PROB_FLOOR
 
 
 @dataclass
@@ -60,21 +58,23 @@ def _softmax_chain(probs: Array, dloss_dprobs: Array) -> Array:
 
 
 def cross_entropy(probs, labels) -> LossOutput:
-    """Mean negative log-probability of the true class."""
+    """Mean negative log-probability of the true class. A probability below
+    PROB_FLOOR counts as PROB_FLOOR, and the output's ``clamped`` says how
+    many did; the trainers report the total once per run."""
     p = as_float_array(probs, ndim=2)
     n, k = p.shape
     if n == 0:
         raise InvalidInputError("cross_entropy needs a non-empty batch")
     y = _check_labels(labels, n, k)
     p_true = p[np.arange(n), y]
-    if np.any(p_true < PROB_FLOOR):
-        log.warning("clamping %d zero-probability entries in cross_entropy", int(np.sum(p_true < PROB_FLOOR)))
+    clamped = int(np.count_nonzero(p_true < PROB_FLOOR))
+    if clamped:
         p_true = np.maximum(p_true, PROB_FLOOR)
     value = float(np.mean(-np.log(p_true)))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
     grad = (p - onehot) / n
-    return LossOutput(value, grad)
+    return LossOutput(value, grad, clamped)
 
 
 def info_max_loss(probs) -> LossOutput:

@@ -6,6 +6,10 @@ any two code paths that evaluate the same formula on the same operands
 agree bit for bit. The distance graph relies on that, and the
 nearest-centroid searches in ``repsets`` use these fsum distances as the
 reference that their certified BLAS tables are checked against.
+``column_fsums`` gives the same exactly rounded sums for every column of
+a matrix at once: a vectorized error-free cascade whose certified error
+bound decides, per column, whether its result is fsum's, and math.fsum
+itself for the columns it cannot certify.
 
 ``serial_blas`` pins the loaded OpenBLAS to one thread while a trainer
 runs; see its docstring for why that is safe and faster.
@@ -90,6 +94,96 @@ def softmax_of_finite(z: Array) -> Array:
     """softmax() of a non-empty, finite float64 array, without checking it."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+# Range of sum |x| over a column in which column_fsums trusts its
+# certificate: below it the bound could underflow, above it a partial sum
+# could overflow.
+_SAFE_ABS_SUM_LO, _SAFE_ABS_SUM_HI = 2.0**-900, 2.0**900
+
+
+def column_fsums(M: Array) -> Array:
+    """math.fsum(M[:, c]) for every column c of a 2-d float64 array, bit for
+    bit, in one vectorized pass; M is not modified.
+
+    Method. A pairwise cascade of Knuth's error-free TwoSum (the
+    vectorized form of Sum2 in Ogita, Rump and Oishi, "Accurate Sum and
+    Dot Product", SIAM J. Sci. Comput. 26, 2005): each of L = ceil(log2 n)
+    levels adds the top half of the rows to the bottom half, carrying an
+    odd middle row, and adds the level's rounding errors e into E. Then
+    (hi, lo) = TwoSum(S, E) for the one row S left.
+
+    Certificate. Let u = 2^-53 and T = sum |x| of a column. Without
+    overflow TwoSum is exact, so sum x = S + sum e over the n - 1 TwoSums.
+    Each |e| <= u|s|, and a level's partial sums have sum |s| <= (1+u)^L T,
+    so sum |e| <= L u (1+u)^L T. E is a floating-point sum of those terms
+    in some order, within gamma_n sum |e| of their exact sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2; addition is exact
+    in the subnormal range, so this holds there too), and hi + lo = S + E
+    exactly. Hence |sum x - hi - lo| <= gamma_n L u (1+u)^L T <= 1.01 n L
+    u^2 T, as n u <= 2^-13 for any array that fits in memory. The computed
+    sum of |x|, A, is at least (1 - gamma_n) T, and B = fl(2 n L u^2 A)
+    loses at most one rounding, so B exceeds that error. A >= 2^-900
+    keeps B normal (L = 0, n = 1, needs no bound), A <= 2^900 keeps every
+    partial sum and TwoSum intermediate finite.
+
+    So sum x lies within B of hi + lo. With t = lo sign(hi), that whole
+    interval lies strictly inside hi's rounding interval when t + B is
+    below half the gap from |hi| up to the next float and B - t below
+    half the gap down (rounding is monotone, so the exact sums are too;
+    halving a gap is exact except for the smallest subnormal, where it
+    gives 0), and then the exactly rounded fsum returns hi. A power of two
+    has a smaller gap below than above, and unit vectors' squared norms
+    land on 1.0 often, so each side keeps its own gap. The column's answer
+    is hi when both hold, hi and lo are finite and A lies in the safe
+    range. hi = 0 never passes, as its gap below is 0: a zero sum follows
+    fsum's signed-zero rules. Any other column, such as a near tie, an inf
+    or nan entry, or a sum that overflows, takes math.fsum itself, with
+    its results and exceptions.
+    """
+    n, m = M.shape
+    out = np.zeros(m)
+    if n == 0:
+        return out
+    with np.errstate(all="ignore"):
+        abs_sum = np.abs(M).sum(axis=0)
+        S = np.empty((n - n // 2, m))  # the partial sums, in place after level 1
+        Z, Y = np.empty((n // 2, m)), np.empty((n // 2, m))
+        E = np.zeros(m)
+        src, r, levels = M, n, 0
+        while r > 1:
+            h = r // 2
+            a, b = src[:h], src[r - h : r]
+            s, z = Z[:h], Y[:h]
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=z)
+            np.subtract(s, z, out=s)
+            np.subtract(a, s, out=s)
+            np.subtract(b, z, out=z)
+            s += z  # the TwoSum error (a - (s - z)) + (b - z), z = s - a
+            E += s.sum(axis=0)
+            if r % 2:
+                S[h] = src[h]  # the middle row, carried
+            np.add(a, b, out=S[:h])  # s again; a and b are intact
+            src, r, levels = S, r - h, levels + 1
+        top = src[0]
+        hi = top + E
+        z = hi - top
+        lo = (top - (hi - z)) + (E - z)
+        bound = (2.0 * n * levels * 2.0**-106) * abs_sum
+        mag, t = np.abs(hi), lo * np.sign(hi)
+        exact = (
+            np.isfinite(hi)
+            & np.isfinite(lo)
+            & (abs_sum >= _SAFE_ABS_SUM_LO)
+            & (abs_sum <= _SAFE_ABS_SUM_HI)
+            & (t + bound < 0.5 * (np.nextafter(mag, np.inf) - mag))
+            & (bound - t < 0.5 * (mag - np.nextafter(mag, 0.0)))
+        )
+    out[exact] = hi[exact]
+    for c in np.flatnonzero(~exact):
+        out[c] = math.fsum(M[:, c].tolist())
+    return out
 
 
 def exact_norm(v: Array) -> float:

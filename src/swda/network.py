@@ -123,7 +123,6 @@ def _check_chain(shapes: tuple) -> None:
 
 
 NetworkParams = ParamTree
-Gradients = ParamTree
 
 
 def add_trees(a: ParamTree, b: ParamTree) -> ParamTree:
@@ -251,7 +250,7 @@ def backward(
     return out
 
 
-def sgd_step(params: NetworkParams, grads: Gradients, velocity: Array, lr: float, generator_lr: float) -> None:
+def sgd_step(params: NetworkParams, grads: ParamTree, velocity: Array, lr: float, generator_lr: float) -> None:
     """In-place momentum update: velocity <- MOMENTUM*velocity + grad;
     param <- param - step*velocity.
 

@@ -52,6 +52,7 @@ from .repsets import (
     update_weak_set,
 )
 from .scaffolding import (
+    ClampCount,
     DistanceGraph,
     accuracy,
     build_distance_graph,
@@ -128,6 +129,7 @@ def _adaptation_run(
     tgt_sampler = BatchSampler(target.n, config.batch_size, stream_rng(config.seed, STREAM_TARGET))
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
     peer_rng = stream_rng(config.seed, STREAM_PEER)
+    clamps = ClampCount()
 
     strong = None
     weak = empty_weak_set(k)
@@ -137,7 +139,7 @@ def _adaptation_run(
         for it in range(config.max_iterations):
             # (1) supervised step on the source
             q = it / config.max_iterations
-            ce, lr_head, lr_gen = source_step(config, params, velocity, grads, source, src_sampler, q)
+            ce, lr_head, lr_gen = source_step(config, params, velocity, grads, source, src_sampler, q, clamps)
 
             # (2) fused strong-weak rows once the strong set exists; each
             # iteration re-draws peer replacements so no single draw
@@ -193,6 +195,8 @@ def _adaptation_run(
                 metrics.accuracy_series.append(acc)
     except (FloatingPointError, DegenerateInputError) as exc:
         raise DegenerateInputError(f"target {target.name!r}, iteration {it + 1}: {exc}") from exc
+    finally:
+        clamps.report(f"target {target.name!r}")
 
     full = forward(params, target.samples)
     if target.labels is not None:

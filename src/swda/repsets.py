@@ -12,8 +12,11 @@ Fusion blends the strong and weak sample of a class with a random convex
 coefficient; selection mirrors the predicted label distribution of the
 current batch so the fused supervision cannot drown out the target data.
 
-Centroids and feature norms are summed with math.fsum, which is exactly
-rounded and therefore order-independent. The nearest-centroid and
+Centroids and feature norms are exactly rounded sums over samples, the
+values math.fsum gives and therefore order-independent. They come from
+mathutils.column_fsums, which sums every column at once with a
+vectorized error-free cascade and a certified bound, and hands the rare
+column the bound cannot settle to math.fsum itself. The nearest-centroid and
 nearest-sample searches build the whole cosine-distance table with one
 BLAS product and a certified error bound: only entries the bound cannot
 separate from the row minimum are re-evaluated through fsum, so the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
-from .mathutils import Array, as_float_array, cosine_distance_with_norms, exact_norm
+from .mathutils import Array, as_float_array, column_fsums, cosine_distance_with_norms
 
 
 @dataclass
@@ -85,18 +88,17 @@ def compute_centroids(probs, features) -> Array:
     """Probability-weighted class centroids: c_j = (P_:jᵀ V) / Σ_i P_ij."""
     P, V = _check_pair(probs, features, "probs", "features")
     n, k = P.shape
-    d = V.shape[1]
     if n == 0:
         raise InvalidInputError("need at least one sample to form centroids")
-    C = np.empty((k, d))
+    C = np.empty((k, V.shape[1]))
+    weighted = np.empty_like(V)  # one buffer for all classes: a fresh one page-faults every time
+    denom = column_fsums(P)
     for j in range(k):
-        w = P[:, j]
-        denom = math.fsum(w.tolist())
-        if denom == 0.0:
+        if denom[j] == 0.0:
             raise EmptyClassError(f"class {j} has zero total probability mass")
-        for dd in range(d):
-            C[j, dd] = math.fsum((w * V[:, dd]).tolist()) / denom
-    return C
+        C[j] = column_fsums(np.multiply(P[:, j, None], V, out=weighted))
+    with np.errstate(over="ignore"):  # an overflowing mean is inf, as float division gives
+        return C / denom[:, None]
 
 
 # Safe norm range for the certificate in _nearest: with both operand norms
@@ -115,7 +117,7 @@ def _row_norms(M: Array, what: str, ids=None) -> Array:
     (a nan or inf entry, or an overflowing square), raises; ``ids[r]``
     names row r in the message. A nan norm would otherwise make every
     fsum distance nan, which cosine_distance_with_norms clips to 0.0."""
-    norms = np.array([exact_norm(row) for row in M])
+    norms = np.sqrt(column_fsums(np.multiply(M.T, M.T, order="C")))
     for bad, why in ((norms == 0.0, "zero"), (~np.isfinite(norms), "non-finite")):
         rows = np.flatnonzero(bad)
         if rows.size:
@@ -173,8 +175,7 @@ def assign_pseudo_labels(features, centroids) -> Array:
 
 
 def _onehot_centroid(V: Array, rows: Array) -> Array:
-    count = float(rows.size)
-    return np.array([math.fsum(V[rows, dd].tolist()) / count for dd in range(V.shape[1])])
+    return column_fsums(V[rows]) / rows.size
 
 
 def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> StrongSet:
@@ -315,12 +316,3 @@ def pseudo_to_arrays(pseudo: PseudoStrongSet) -> dict:
         if pool:
             out[f"pseudo.{j}"] = np.stack(pool)
     return out
-
-
-def pseudo_from_arrays(arrays: dict) -> PseudoStrongSet:
-    k = int(arrays["pseudo.k"])
-    pools = []
-    for j in range(k):
-        block = arrays.get(f"pseudo.{j}")
-        pools.append([] if block is None else [row.copy() for row in block])
-    return PseudoStrongSet(pools)

@@ -14,8 +14,8 @@ ties disqualify.
 
 from __future__ import annotations
 
+import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     NotInitializedError,
 )
 from .losses import cross_entropy
-from .mathutils import Array, cosine_distance, serial_blas
+from .mathutils import Array, column_fsums, cosine_distance, serial_blas
 from .network import (
     NetworkParams,
     backward,
@@ -78,9 +78,13 @@ def check_source_classes(domain: Domain, num_classes: int) -> None:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels")
     check_label_range(domain, num_classes)
     present = set(domain.labels.tolist())
-    missing = [c for c in range(num_classes) if c not in present]
-    if missing:
-        raise InvalidDatasetError(f"domain {domain.name!r} is missing classes {missing}")
+    # every label lies in [0, num_classes), so this counts the absent classes
+    # without listing them all: a config file's num_classes can be huge
+    absent = num_classes - len(present)
+    if absent:
+        missing = list(itertools.islice((c for c in range(num_classes) if c not in present), 10))
+        more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
+        raise InvalidDatasetError(f"domain {domain.name!r} is missing classes {missing}{more}")
 
 
 def evaluate(params: NetworkParams, domain: Domain) -> float:
@@ -97,15 +101,40 @@ def accuracy(probs: Array, labels: Array) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def source_step(config: ExperimentConfig, params, velocity, grads, source: Domain, sampler: BatchSampler, q: float):
+class ClampCount:
+    """Cross-entropy clamps (see losses.cross_entropy) over one trainer run,
+    reported in one line at its end instead of one per iteration."""
+
+    def __init__(self):
+        self.entries = self.iterations = 0
+
+    def add(self, clamped: int) -> None:
+        self.entries += clamped
+        self.iterations += clamped > 0
+
+    def report(self, run: str) -> None:
+        if self.entries:
+            log.warning(
+                "%s: cross_entropy clamped %d zero-probability entries over %d iterations",
+                run,
+                self.entries,
+                self.iterations,
+            )
+
+
+def source_step(
+    config: ExperimentConfig, params, velocity, grads, source: Domain, sampler: BatchSampler, q: float, clamps: ClampCount
+):
     """The supervised half of every iteration: a cross-entropy step on the
     next source batch at training progress q, with its gradients written
-    into the tree ``grads``. Returns (cross-entropy value, head learning
-    rate, generator learning rate)."""
+    into the tree ``grads`` and its clamped entries added to ``clamps``.
+    Returns (cross-entropy value, head learning rate, generator learning
+    rate)."""
     lr_head, lr_gen = lr_schedule(q, config.eta0_head), lr_schedule(q, config.eta0_generator)
     idx = sampler.next_batch()
     fwd = forward(params, source.samples[idx])
     ce = cross_entropy(fwd.probs, source.labels[idx])
+    clamps.add(ce.clamped)
     sgd_step(params, backward(params, fwd, ce.grad_wrt_logits, out=grads), velocity, lr_head, lr_gen)
     return ce.value, lr_head, lr_gen
 
@@ -128,12 +157,13 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
     velocity = np.zeros_like(params.flat)
     grads = params.with_flat(np.empty_like(params.flat))
     sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
+    clamps = ClampCount()
 
     best_acc = -1.0
     consecutive_drops = 0
     try:
         for it in range(budget):
-            source_step(config, params, velocity, grads, source, sampler, it / budget)
+            source_step(config, params, velocity, grads, source, sampler, it / budget, clamps)
             if (it + 1) % SOURCE_EVAL_PERIOD == 0:
                 acc = evaluate(params, source)
                 if acc > best_acc:
@@ -148,6 +178,8 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
                     consecutive_drops = 0
     except (FloatingPointError, DegenerateInputError) as exc:
         raise DegenerateInputError(f"source-only training, iteration {it + 1}: {exc}") from exc
+    finally:
+        clamps.report("source-only training")
     return best_params
 
 
@@ -157,7 +189,7 @@ def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
     total probability mass is marked invalid instead of raising."""
     fwd = forward(params, samples)
     P, V = fwd.probs, fwd.norm_features
-    valid = np.array([math.fsum(P[:, j].tolist()) != 0.0 for j in range(P.shape[1])], dtype=bool)
+    valid = column_fsums(P) != 0.0
     for j in np.flatnonzero(~valid):
         log.warning("class %d has zero probability mass; centroid marked unusable", j)
     # each centroid row depends only on its own probability column

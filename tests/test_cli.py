@@ -1,6 +1,8 @@
 """Command line front end: exit codes, artifact layout, determinism and
 agreement with the library API."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swda
 from swda import checkpoint as ckpt
@@ -376,6 +380,55 @@ def test_config_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, key, raw, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+# --- fuzzed config documents ---------------------------------------------------
+# Integers are small or beyond int64, never in between, so no accepted value
+# builds a huge network; every accepted run stays at most 5 iterations long.
+
+_HUGE = 10**400
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 8),
+    st.sampled_from([_HUGE, -_HUGE, 2**63, -(2**64), 1e300, 5e-324]),
+    st.floats(-2.0, 30.0),
+    st.floats(),  # nan and +-inf too: json writes them as NaN and Infinity
+    st.sampled_from(["3", "0.5", "1e400", "NaN", ""]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 8), st.sampled_from([_HUGE, 2.5, "16", True])), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "tau"]), st.integers(0, 3), max_size=1),
+)
+FUZZ_KEYS = st.sampled_from(sorted(cli.KNOWN_CONFIG_KEYS) + ["num_runs", ""])
+
+
+@st.composite
+def fuzzed_config(draw):
+    doc = {**SMALL_CONFIG, "max_iterations": 5, "strong_refresh_period": 2, "accuracy_eval_period": 2}
+    doc.update(draw(st.dictionaries(FUZZ_KEYS, FUZZ_VALUES, max_size=3)))
+    for key in ("max_iterations", "source_iterations"):
+        if type(doc.get(key)) is int and doc[key] > 5:
+            doc[key] = 5
+    return [doc] if draw(st.integers(0, 19)) == 13 else doc  # now and then no JSON object at all
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_dataset(path)
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=fuzzed_config())
+def test_fuzzed_config_exits_0_2_or_3_without_traceback(fuzz_dir, doc):
+    cfg_path = fuzz_dir / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    shutil.rmtree(fuzz_dir / "run", ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_train_single(fuzz_dir, cfg_path)
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unexpected_exception_exit_2_without_traceback(tmp_path, capsys, monkeypatch):

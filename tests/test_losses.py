@@ -5,6 +5,7 @@ import pytest
 
 from swda.errors import InvalidInputError
 from swda.losses import (
+    PROB_FLOOR,
     LossWeights,
     adversarial_logit_loss,
     cross_entropy,
@@ -72,6 +73,15 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy(probs, np.array([0]))
     with pytest.raises(InvalidInputError):
         cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+def test_cross_entropy_counts_clamped_entries_without_logging(caplog):
+    probs = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 1e-300]])
+    out = cross_entropy(probs, np.array([1, 0, 1]))
+    assert out.clamped == 2
+    assert out.value == pytest.approx((2.0 * -math.log(PROB_FLOOR) - math.log(0.5)) / 3.0)
+    assert cross_entropy(probs, np.array([0, 0, 0])).clamped == 0
+    assert not caplog.records  # the trainers report clamps, once per run
 
 
 # --- information maximization -------------------------------------------------

@@ -7,6 +7,7 @@ from oracles import assign_labels as oracle_assign_labels
 from oracles import centroids as oracle_centroids
 from oracles import strong_choices as oracle_strong_choices
 from swda import repsets
+from swda.checkpoint import load_arrays, save_arrays
 from swda.errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
 from swda.mathutils import softmax
 from swda.repsets import (
@@ -22,7 +23,6 @@ from swda.repsets import (
     fuse,
     fused_rows,
     harvest_pseudo_strong,
-    pseudo_from_arrays,
     pseudo_to_arrays,
     select_sw_batch,
     sw_rows,
@@ -506,9 +506,11 @@ def test_weak_set_and_harvest_share_one_ranking(seed, n, k, lam, cap):
 
 # --- serialization ------------------------------------------------------------
 
-def test_pseudo_set_round_trip():
+def test_pseudo_set_survives_checkpoint_round_trip(tmp_path):
     pools = PseudoStrongSet([[np.array([1.0, 2.0]), np.array([3.0, 4.0])], []])
-    back = pseudo_from_arrays(pseudo_to_arrays(pools))
-    assert len(back.pools) == 2
-    assert np.array_equal(back.pools[0][1], [3.0, 4.0])
-    assert back.pools[1] == []
+    path = tmp_path / "pseudo_strong.txt"
+    save_arrays(path, pseudo_to_arrays(pools))
+    back = load_arrays(path)
+    assert sorted(back) == ["pseudo.0", "pseudo.k"]  # an empty pool writes no key
+    assert back["pseudo.k"].dtype == np.int64 and int(back["pseudo.k"]) == 2
+    assert np.array_equal(back["pseudo.0"], [[1.0, 2.0], [3.0, 4.0]])

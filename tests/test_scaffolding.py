@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from swda.config import ExperimentConfig
 from swda.datasets import Domain, generate, standard_shift_spec
 from swda.errors import InvalidDatasetError, InvalidInputError, NotInitializedError
 from swda.network import NetworkConfig, forward, init_params
+from swda.pipeline import train_single_target
 from swda.repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
 from swda.scaffolding import (
     DistanceGraph,
@@ -46,6 +50,36 @@ def test_check_source_classes():
         check_source_classes(dom, 3)
     with pytest.raises(InvalidDatasetError):
         check_source_classes(Domain("u", np.zeros((2, 2))), 2)
+
+
+def test_check_source_classes_names_a_few_of_many_missing_classes():
+    # a config file's num_classes may be absurd; the check must not list them all
+    dom = Domain("s", np.zeros((4, 2)), labels=[0, 0, 2, 2])
+    with pytest.raises(InvalidDatasetError, match=r"missing classes \[1\]$"):
+        check_source_classes(dom, 3)
+    with pytest.raises(InvalidDatasetError) as exc:
+        check_source_classes(dom, 10**400)
+    assert str(exc.value).endswith(f"missing classes [1, 3, 4, 5, 6, 7, 8, 9, 10, 11] and {10**400 - 12} more")
+
+
+def test_cross_entropy_clamps_are_reported_once_per_run(caplog):
+    # a sharp temperature, large steps and labels unrelated to the inputs
+    # push true-class probabilities under PROB_FLOOR on most iterations
+    rng = np.random.default_rng(0)
+    source = Domain("s", rng.normal(size=(40, 4)), np.arange(40) % 2)
+    target = Domain("t", rng.normal(size=(40, 4)))
+    net = NetworkConfig(4, 2, (8,), 4, tau=400.0)
+    cfg = ExperimentConfig(
+        net, batch_size=8, max_iterations=40, eta0_head=0.5, eta0_generator=0.5, strong_refresh_period=10
+    )
+    with caplog.at_level(logging.WARNING):
+        train_source_only(cfg, source)
+        train_single_target(cfg, source, target)
+    lines = [r.getMessage() for r in caplog.records if "cross_entropy clamped" in r.getMessage()]
+    assert [line.split(":")[0] for line in lines] == ["source-only training", "target 't'"]
+    for line in lines:
+        entries, iterations = map(int, re.search(r"clamped (\d+) .* over (\d+) iterations", line).groups())
+        assert 1 < iterations <= 40 and entries >= iterations
 
 
 def test_train_source_only_zero_budget_returns_init():
