@@ -366,6 +366,10 @@ def main(argv=None) -> int:
     except (SwdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError names none
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # last resort: an input no check anticipated still gets a one-line
         # message naming where it failed and an input-error exit, never a

@@ -260,8 +260,11 @@ def save_csv(domain: Domain, path) -> None:
 
 def load_csv(path) -> Domain:
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text", line=raw.count(b"\n", 0, exc.start) + 1)
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].split(",")

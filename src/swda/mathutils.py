@@ -92,8 +92,10 @@ def softmax(logits) -> Array:
 
 def softmax_of_finite(z: Array) -> Array:
     """softmax() of a non-empty, finite float64 array, without checking it."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 # Range of sum |x| over a column in which column_fsums trusts its

@@ -23,6 +23,7 @@ from .errors import DegenerateInputError, InvalidInputError
 from .mathutils import Array, as_float_array, check_fields, softmax_of_finite
 
 MOMENTUM = 0.9  # sgd_step's velocity decay
+MAX_FLOAT64_ENTRIES = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can make
 
 
 @dataclass
@@ -39,6 +40,17 @@ class NetworkConfig:
         dims = (self.input_dim, self.num_classes, self.bottleneck_dim, *self.generator_hidden_dims)
         if any(d < 1 for d in dims):
             raise InvalidInputError("all network dimensions must be >= 1")
+        # numpy caps an array at intp-max bytes; counted in Python ints, which
+        # do not overflow, so no width reaches numpy's own size errors
+        widths = (self.input_dim, *self.generator_hidden_dims, self.bottleneck_dim)
+        count = sum((a + 1) * b for a, b in zip(widths, widths[1:])) + self.bottleneck_dim * self.num_classes
+        if count > MAX_FLOAT64_ENTRIES:
+            widest = min(dims.index(max(dims)), 3)
+            name = ("input_dim", "num_classes", "bottleneck_dim", "generator_hidden_dims")[widest]
+            raise InvalidInputError(
+                f"{name} is too large: the network would have more than the "
+                f"{MAX_FLOAT64_ENTRIES} parameters a float64 array can hold"
+            )
         if self.tau <= 0.0:
             raise InvalidInputError("tau must be positive")
 
@@ -155,6 +167,7 @@ class ForwardResult:
     hidden: list[Array]  # tanh outputs of each generator layer
     raw_features: Array  # (n, d) bottleneck output before norm scaling
     feature_norms: Array  # (n,)
+    scale: Array  # (n,) tau / feature_norms, the factor each raw row was scaled by
     norm_features: Array  # (n, d), every row has norm tau
     logits: Array  # (n, k)
     probs: Array  # (n, k)
@@ -172,17 +185,20 @@ def forward(params: NetworkParams, inputs) -> ForwardResult:
     hidden = []
     act = x
     for layer in params.generator:
-        act = np.tanh(act @ layer.weight.T + layer.bias)
-        hidden.append(act)
-    raw = act @ params.bottleneck.weight.T + params.bottleneck.bias
+        act = act @ layer.weight.T
+        act += layer.bias
+        hidden.append(np.tanh(act, out=act))
+    raw = act @ params.bottleneck.weight.T
+    raw += params.bottleneck.bias
     norms = np.sqrt(np.add.reduce(raw * raw, axis=1))  # np.linalg.norm's formula, minus its dispatch
     if (norms == 0.0).any():
         raise DegenerateInputError("a bottleneck feature row has zero norm; cannot scale to tau")
-    norm_features = raw * (params.tau / norms)[:, None]
+    scale = params.tau / norms
+    norm_features = raw * scale[:, None]
     logits = norm_features @ params.classifier.T
     if not np.isfinite(logits).all():
         raise DegenerateInputError("non-finite logits: the inputs are not finite, or the parameters have diverged")
-    return ForwardResult(x, hidden, raw, norms, norm_features, logits, softmax_of_finite(logits))
+    return ForwardResult(x, hidden, raw, norms, scale, norm_features, logits, softmax_of_finite(logits))
 
 
 def _logit_grad(g, fwd: ForwardResult, what: str) -> Array:
@@ -226,27 +242,31 @@ def backward(
         out = params.with_flat(np.empty_like(params.flat))
     elif out.shapes != params.shapes:
         raise InvalidInputError(f"gradient tree has leaf shapes {out.shapes}, parameters have {params.shapes}")
-    tau = params.tau
 
-    out.classifier[...] = g_cls.T @ fwd.norm_features
+    np.matmul(g_cls.T, fwd.norm_features, out=out.classifier)
     d_v = g_feat @ params.classifier
 
     # norm-scaling backward: v = tau * u / |u| with u the raw feature row
     raw, norms = fwd.raw_features, fwd.feature_norms
-    row_dot = (d_v * raw).sum(axis=1)
-    d_raw = (tau / norms)[:, None] * (d_v - (row_dot / norms**2)[:, None] * raw)
+    row_dot = np.add.reduce(d_v * raw, axis=1)
+    d_raw = (row_dot / norms**2)[:, None] * raw
+    np.subtract(d_v, d_raw, out=d_raw)
+    d_raw *= fwd.scale[:, None]
 
     gen_input = fwd.hidden[-1] if params.generator else fwd.inputs
-    out.bottleneck.weight[...] = d_raw.T @ gen_input
-    out.bottleneck.bias[...] = d_raw.sum(axis=0)
+    np.matmul(d_raw.T, gen_input, out=out.bottleneck.weight)
+    np.add.reduce(d_raw, axis=0, out=out.bottleneck.bias)
     d_act = d_raw @ params.bottleneck.weight
 
     for i in reversed(range(len(params.generator))):
-        d_z = d_act * (1.0 - fwd.hidden[i] ** 2)
+        d_z = fwd.hidden[i] ** 2
+        np.subtract(1.0, d_z, out=d_z)
+        d_z *= d_act
         below = fwd.hidden[i - 1] if i > 0 else fwd.inputs
-        out.generator[i].weight[...] = d_z.T @ below
-        out.generator[i].bias[...] = d_z.sum(axis=0)
-        d_act = d_z @ params.generator[i].weight
+        np.matmul(d_z.T, below, out=out.generator[i].weight)
+        np.add.reduce(d_z, axis=0, out=out.generator[i].bias)
+        if i > 0:  # the input gradient of the first layer has no use
+            d_act = d_z @ params.generator[i].weight
     return out
 
 
@@ -262,11 +282,10 @@ def sgd_step(params: NetworkParams, grads: ParamTree, velocity: Array, lr: float
     if min(lr, generator_lr) <= 0.0:
         raise InvalidInputError("learning rate must be positive")
     g = params.generator_size
-    for part, step in ((slice(None, g), generator_lr), (slice(g, None), lr)):
-        buf = velocity[part]
-        buf *= MOMENTUM
-        buf += grads.flat[part]
-        params.flat[part] -= step * buf
+    velocity *= MOMENTUM
+    velocity += grads.flat
+    params.flat[:g] -= generator_lr * velocity[:g]
+    params.flat[g:] -= lr * velocity[g:]
 
 
 def lr_schedule(q: float, eta0: float) -> float:

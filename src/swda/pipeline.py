@@ -7,15 +7,20 @@ into one row; (3) one forward pass over the target batch with the fused
 rows stacked below it; (4) from it, the information-maximization and
 adversarial-logit losses on the target rows and, once the strong set
 exists, the strong-weak loss on a pseudo-labeled batch mirroring the
-batch's predicted label distribution, gathered from the fused rows;
-(5) one backward pass and one optimizer step on the weighted sum of the
-three losses, routing the adversarial term through gradient reversal;
-(6) weak-set update from the target batch; (7) periodic strong-set
-refresh over all target samples, sharing its forward pass with an
-accuracy check due on the same iteration. Step (2) first swaps each
-class's strong entry for a sample drawn from that class's peer donors;
-only multi-target part 3 has donors, fixed once per run and re-drawn
-from every iteration.
+batch's predicted label distribution: every class has a strong entry
+after a refresh, so that batch is fused row c for each predicted label
+c; (5) one backward pass and one optimizer step on the weighted sum of
+the three losses, routing the adversarial term through gradient
+reversal; (6) weak-set update from the target batch; (7) periodic
+strong-set refresh over all target samples, sharing its forward pass
+with an accuracy check due on the same iteration. Step (2) first swaps
+each class's strong entry for a sample drawn from that class's peer
+donors; only multi-target part 3 has donors, fixed once per run and
+re-drawn from every iteration, and a run without donors makes no
+replacement call.
+
+The trainers validate domains and config once, at their boundary; see
+_adaptation_run for what the loop then leaves unchecked.
 """
 
 from __future__ import annotations
@@ -40,17 +45,10 @@ from .config import (
 )
 from .datasets import Domain
 from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError
-from .losses import adversarial_logit_loss, info_max_loss, strong_weak_loss
+from .losses import _adversarial_logit, _info_max, _strong_weak
 from .mathutils import serial_blas
 from .network import NetworkParams, backward, forward, init_params, sgd_step
-from .repsets import (
-    empty_weak_set,
-    fused_rows,
-    harvest_pseudo_strong,
-    sw_rows,
-    update_strong_set,
-    update_weak_set,
-)
+from .repsets import _fused, _weak_rows, harvest_pseudo_strong, update_strong_set
 from .scaffolding import (
     ClampCount,
     DistanceGraph,
@@ -118,7 +116,13 @@ def _adaptation_run(
 ):
     """One adaptation run on domains _check_domains accepts; donors[l] holds
     the (sample, peer slot) pairs that may replace the class-l strong entry
-    (see peer_donors), and a run without peers passes []."""
+    (see peer_donors), and a run without peers passes [].
+
+    Nothing inside the loop re-checks what _check_domains and the config
+    dataclasses checked: the losses, the weak-set pick and the fusion run
+    as the unchecked kernels behind the public functions of losses and
+    repsets, on the strong and weak sets held as (k, d) row matrices.
+    forward still rejects zero-norm features and non-finite logits."""
     start = time.perf_counter()
     w = config.weights
     k = config.network.num_classes
@@ -130,9 +134,11 @@ def _adaptation_run(
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
     peer_rng = stream_rng(config.seed, STREAM_PEER)
     clamps = ClampCount()
+    swaps = any(donors)
 
-    strong = None
-    weak = empty_weak_set(k)
+    strong = S = None  # the strong set, and its rows as a (k, d) matrix
+    W = np.zeros((k, target.samples.shape[1]))  # weak set rows, valid where has_weak
+    has_weak = np.zeros(k, dtype=bool)
     metrics = RunMetrics([], [], [], [], [], [], None)
 
     try:
@@ -146,49 +152,56 @@ def _adaptation_run(
             # dominates a refresh window
             batch = target.samples[tgt_sampler.next_batch()]
             n = batch.shape[0]
-            if strong is None:
+            if S is None:
                 rows = batch
             else:
-                classes, fused = fused_rows(replace_with_peers(strong, donors, peer_rng), weak, fusion_rng)
-                rows = np.concatenate([batch, fused])
+                own = np.array([e.x for e in replace_with_peers(strong, donors, peer_rng).entries]) if swaps else S
+                rows = np.concatenate([batch, _fused(own, W, has_weak, fusion_rng)])
 
             # (3) one forward pass over the batch and the fused rows below it
             fwd = forward(params, rows)
             probs = fwd.probs[:n]
 
-            # (4) the three target losses; L_SW reads each predicted label's
-            # fused row and its logit gradient is summed back onto that row
-            im = info_max_loss(probs)
-            all_ = adversarial_logit_loss(fwd.logits[:n], probs, w.lam)
-            g_im, g_all = w.k1 * im.grad_wrt_logits, w.k2 * all_.grad_wrt_logits
-            g_sw = np.zeros((rows.shape[0] - n, k))
-            sw_value = 0.0
-            if strong is not None:
-                picked, labels = sw_rows(classes, k, np.argmax(probs, axis=1))
-                sw = strong_weak_loss(fwd.probs[n + picked], labels)
-                sw_value = sw.value
-                np.add.at(g_sw, picked, w.k3 * sw.grad_wrt_logits)
+            # (4) the three target losses; every class has a fused row, so
+            # L_SW reads row pred of them for each predicted label pred, and
+            # its logit gradient is summed back onto that row
+            im, g_im = _info_max(probs)
+            adv, g_all = _adversarial_logit(fwd.logits[:n], probs, w.lam)
+            g_im *= w.k1
+            g_all *= w.k2
+            g_cls = np.zeros((rows.shape[0], k))
+            g_feat = np.empty_like(g_cls)
+            sw = 0.0
+            if S is not None:
+                pred = probs.argmax(1)
+                sw, g_sw = _strong_weak(fwd.probs[n + pred], pred)
+                g_sw *= w.k3
+                np.add.at(g_cls[n:], pred, g_sw)
+                g_feat[n:] = g_cls[n:]
 
             # (5) one backward pass and one optimizer step for the combined
             # target objective: L_ALL reaches the classifier as is and the
             # feature path reversed
-            g_cls = np.concatenate([g_im + g_all, g_sw])
-            g_feat = np.concatenate([g_im - g_all, g_sw])
+            np.add(g_im, g_all, out=g_cls[:n])
+            np.subtract(g_im, g_all, out=g_feat[:n])
             sgd_step(params, backward(params, fwd, g_cls, g_feat, out=grads), velocity, lr_head, lr_gen)
 
             # (6) weak set follows every batch
-            weak = update_weak_set(weak, batch, probs, w.lam)
+            best, hit = _weak_rows(probs, w.lam)
+            W[hit] = batch[best[hit]]
+            has_weak |= hit
 
             # (7) periodic strong refresh over the whole target
             full = None
             if (it + 1) % config.strong_refresh_period == 0:
                 full = forward(params, target.samples)
                 strong = update_strong_set(target.samples, full.norm_features, full.probs, target.name)
+                S = np.array([e.x for e in strong.entries])
 
             metrics.loss_ce.append(ce)
-            metrics.loss_im.append(im.value)
-            metrics.loss_all.append(all_.value)
-            metrics.loss_sw.append(sw_value)
+            metrics.loss_im.append(im)
+            metrics.loss_all.append(adv)
+            metrics.loss_sw.append(sw)
             if (it + 1) % config.accuracy_eval_period == 0 and target.labels is not None:
                 metrics.accuracy_iterations.append(it + 1)
                 acc = evaluate(params, target) if full is None else accuracy(full.probs, target.labels)

@@ -11,6 +11,10 @@ Three sets drive the semi-supervised signal on the unlabeled target:
 Fusion blends the strong and weak sample of a class with a random convex
 coefficient; selection mirrors the predicted label distribution of the
 current batch so the fused supervision cannot drown out the target data.
+The weak-set pick (_weak_rows, one masked argmax per class) and the
+fusion (_fused, on (m, d) strong and weak row matrices) are unchecked
+kernels: the trainer calls them on arrays it built, and update_weak_set,
+fused_rows and fuse check their arguments and call them.
 
 Centroids and feature norms are exactly rounded sums over samples, the
 values math.fsum gives and therefore order-independent. They come from
@@ -215,6 +219,19 @@ def _confident_rows(P: Array, lam: float) -> tuple:
     return rows[np.lexsort((-top_p[rows], top[rows]))], top, top_p  # stable: equal keys keep row order
 
 
+def _weak_rows(P: Array, lam: float) -> tuple:
+    """(best, hit) for a non-empty (n, k) probability matrix: hit[c] says
+    whether some row's argmax is class c with probability above lam, and
+    then best[c] is the first such row of highest probability, the pick of
+    _confident_rows. One masked argmax per class column."""
+    top = P.argmax(1)
+    top_p = P[np.arange(P.shape[0]), top]
+    cols = np.arange(P.shape[1])
+    M = np.where((top[:, None] == cols) & (top_p > lam)[:, None], top_p[:, None], -np.inf)
+    best = M.argmax(0)
+    return best, M[best, cols] > -np.inf
+
+
 def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
     """Per-batch threshold replacement: for each class that is some row's
     argmax with probability above lam, store that batch's best such sample.
@@ -223,41 +240,51 @@ def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
     k = P.shape[1]
     if len(weak.entries) != k:
         raise InvalidInputError(f"weak set has {len(weak.entries)} classes, probs has {k}")
-    rows, top, top_p = _confident_rows(P, lam)
-    cls = top[rows]
-    first = np.ones(rows.size, dtype=bool)  # the best row of each class comes first
-    first[1:] = cls[1:] != cls[:-1]
     entries = list(weak.entries)
-    for i, j in zip(rows[first].tolist(), cls[first].tolist()):
-        entries[j] = WeakEntry(X[i].copy(), float(top_p[i]))
+    if P.shape[0]:
+        best, hit = _weak_rows(P, lam)
+        for j in np.flatnonzero(hit).tolist():
+            i = best[j]
+            entries[j] = WeakEntry(X[i].copy(), float(P[i, j]))
     return WeakSet(entries)
+
+
+def _fused(S: Array, W: Array, blend: Array, rng) -> Array:
+    """Fused rows from strong rows S and weak rows W, both (m, d): row i is
+    S[i] where blend[i] is False, else r*S[i] + (1-r)*W[i] with one fresh
+    r ~ U(0,1) per blended row.
+
+    The r of all blended rows come from one draw of the generator in row
+    order, the same doubles as one scalar draw per row; a draw of exactly
+    0 is redrawn, shifting the later rows onto the next draws, as a scalar
+    draw-until-nonzero loop would."""
+    F = S.copy()
+    rows = blend.nonzero()[0]
+    if rows.size:
+        r = rng.uniform(0.0, 1.0, size=rows.size)
+        while not r.all():  # r lives in the open interval
+            i = np.argmin(r)  # the first zero
+            r[i:] = np.append(r[i + 1 :], rng.uniform(0.0, 1.0))
+        F[rows] = r[:, None] * S[rows] + (1.0 - r)[:, None] * W[rows]
+    return F
 
 
 def fused_rows(strong: StrongSet, weak: WeakSet, rng) -> tuple:
     """(classes, F): the classes that have a strong entry, ascending, and
     F[i] the fused sample of class classes[i], x_sw = r*x_strong +
     (1-r)*x_weak with r ~ U(0,1), one fresh r per class that also has a
-    weak entry; a class without one keeps its strong sample (r=1).
-
-    The r of all blended classes come from one draw of the generator in
-    class order, the same doubles as one scalar draw per class; a draw of
-    exactly 0 is redrawn, shifting the later classes onto the next draws,
-    as a scalar draw-until-nonzero loop would."""
+    weak entry, drawn as _fused does; a class without one keeps its strong
+    sample (r=1)."""
     if not strong.populated:
         raise NotInitializedError("strong set is empty; fusion unavailable")
     if len(weak.entries) != len(strong.entries):
         raise InvalidInputError("strong and weak sets disagree on class count")
     classes = [j for j, st in enumerate(strong.entries) if st is not None]
-    F = np.array([strong.entries[j].x for j in classes], dtype=np.float64)
-    blend = [i for i, j in enumerate(classes) if weak.entries[j] is not None]
-    if blend:
-        r = rng.uniform(0.0, 1.0, size=len(blend))
-        while not r.all():  # r lives in the open interval
-            i = np.argmin(r)  # the first zero
-            r[i:] = np.append(r[i + 1 :], rng.uniform(0.0, 1.0))
-        W = np.array([weak.entries[classes[i]].x for i in blend], dtype=np.float64)
-        F[blend] = r[:, None] * F[blend] + (1.0 - r)[:, None] * W
-    return np.array(classes, dtype=np.int64), F
+    blend = [weak.entries[j] is not None for j in classes]
+    S = np.array([strong.entries[j].x for j in classes], dtype=np.float64)
+    # an unblended class's W row is never read; its strong row fills the slot
+    W = np.array([(weak if b else strong).entries[j].x for j, b in zip(classes, blend)], dtype=np.float64)
+    return np.array(classes, dtype=np.int64), _fused(S, W, np.array(blend, dtype=bool), rng)
 
 
 def fuse(strong: StrongSet, weak: WeakSet, rng) -> list:

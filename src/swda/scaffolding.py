@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     NotInitializedError,
 )
-from .losses import cross_entropy
+from .losses import _cross_entropy
 from .mathutils import Array, column_fsums, cosine_distance, serial_blas
 from .network import (
     NetworkParams,
@@ -133,10 +133,10 @@ def source_step(
     lr_head, lr_gen = lr_schedule(q, config.eta0_head), lr_schedule(q, config.eta0_generator)
     idx = sampler.next_batch()
     fwd = forward(params, source.samples[idx])
-    ce = cross_entropy(fwd.probs, source.labels[idx])
-    clamps.add(ce.clamped)
-    sgd_step(params, backward(params, fwd, ce.grad_wrt_logits, out=grads), velocity, lr_head, lr_gen)
-    return ce.value, lr_head, lr_gen
+    ce, grad, clamped = _cross_entropy(fwd.probs, source.labels[idx])
+    clamps.add(clamped)
+    sgd_step(params, backward(params, fwd, grad, out=grads), velocity, lr_head, lr_gen)
+    return ce, lr_head, lr_gen
 
 
 @serial_blas()

@@ -331,6 +331,39 @@ def test_generator_hidden_dims_must_be_positive_int_list_exit_2(tmp_path, capsys
     assert "generator_hidden_dims must be a list of positive integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("generator_hidden_dims", [10**18]), ("generator_hidden_dims", [10**400]), ("bottleneck_dim", 10**18)],
+)
+def test_network_too_large_for_numpy_exit_2(tmp_path, capsys, key, value):
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, extra={key: value})
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} is too large" in err and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 29.8 GiB"), "error: out of memory: Unable to allocate 29.8 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_out_of_memory_exit_2_in_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    # a width the parameter-count check lets through, such as [10**9], can
+    # still exhaust memory; stand in for that without allocating
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    monkeypatch.setattr(cli, "train_single_target", exhausted)
+    assert run_train_single(tmp_path, cfg_path) == 2
+    assert capsys.readouterr().err == line
+
+
 def run_train_single(tmp_path, cfg_path):
     return main(
         [
@@ -429,6 +462,72 @@ def test_fuzzed_config_exits_0_2_or_3_without_traceback(fuzz_dir, doc):
         rc = run_train_single(fuzz_dir, cfg_path)
     assert rc in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# --- fuzzed CSV text ------------------------------------------------------------
+# Each example edits the source or the target CSV of a valid 3-class problem
+# cell by cell, then maybe truncates it, adds a BOM, or writes CRLF endings or
+# a byte that is not UTF-8. Accepted runs are 5 iterations long.
+
+CSV_LABELS = st.one_of(
+    st.integers(0, 3).map(str),
+    st.sampled_from(["?", "-1", "99", str(2**62), str(2**63), str(10**400), "1.0", "x", "", " 1"]),
+)
+CSV_CELLS = st.one_of(
+    st.floats(-5.0, 5.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e400", "1e308", "-1e308", "1e-320", "abc", "", " 2", "1_0"]),
+)
+
+
+@st.composite
+def fuzzed_csv(draw, text: str) -> bytes:
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        op = draw(st.sampled_from(["set", "set", "drop", "add"]))
+        if op == "drop":
+            del cells[j]
+        else:
+            value = draw(CSV_LABELS if j == 0 else CSV_CELLS)
+            cells[j : j + (op == "set")] = [value]
+        lines[i] = ",".join(cells)
+    if draw(st.integers(0, 5)) == 0:
+        lines = lines[: draw(st.integers(0, 3))]  # empty, header only, or a few rows
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    body = ("\ufeff" if draw(st.integers(0, 9)) == 0 else "") + newline.join(lines) + newline
+    data = body.encode()
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv_fuzz")
+    write_dataset(path)
+    config = {**SMALL_CONFIG, "max_iterations": 5, "strong_refresh_period": 2, "accuracy_eval_period": 2}
+    (path / "config.json").write_text(json.dumps(config))
+    return path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), which=st.sampled_from(["source", "target"]))
+def test_fuzzed_csv_exits_0_2_or_3_without_traceback(csv_fuzz_dir, data, which):
+    valid = (csv_fuzz_dir / f"{which}.csv").read_text()
+    case = csv_fuzz_dir / "case"
+    shutil.rmtree(case, ignore_errors=True)
+    case.mkdir()
+    for name in ("source", "target"):
+        text = (csv_fuzz_dir / f"{name}.csv").read_bytes()
+        (case / f"{name}.csv").write_bytes(data.draw(fuzzed_csv(valid)) if name == which else text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_train_single(case, csv_fuzz_dir / "config.json")
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
 
 
 def test_unexpected_exception_exit_2_without_traceback(tmp_path, capsys, monkeypatch):

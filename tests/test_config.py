@@ -16,7 +16,7 @@ from swda.config import (
 from swda.datasets import DomainTransform, SyntheticSpec
 from swda.errors import InvalidInputError
 from swda.losses import LossWeights
-from swda.network import NetworkConfig
+from swda.network import MAX_FLOAT64_ENTRIES, NetworkConfig
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -171,3 +171,27 @@ def test_batch_sampler_deterministic_given_rng_state():
     b = BatchSampler(20, 6, np.random.default_rng(11))
     for _ in range(10):
         assert np.array_equal(a.next_batch(), b.next_batch())
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"generator_hidden_dims": (10**18,)}, "generator_hidden_dims"),
+        ({"generator_hidden_dims": (16, 10**400)}, "generator_hidden_dims"),
+        ({"bottleneck_dim": 10**18}, "bottleneck_dim"),
+        ({"num_classes": 2**62}, "num_classes"),
+    ],
+)
+def test_network_larger_than_any_float64_array_rejected(kwargs, field):
+    # the parameter count is exact in Python ints, so the check allocates
+    # nothing and a 400-digit width is no special case
+    with pytest.raises(InvalidInputError, match=f"^{field} is too large"):
+        NetworkConfig(**{"input_dim": 4, "num_classes": 3, **kwargs})
+
+
+def test_network_at_the_float64_array_limit_accepted():
+    # (4 + 1) * h + (h + 1) * 1 + 1 * 1 parameters: the largest h that fits
+    h = (MAX_FLOAT64_ENTRIES - 2) // 6
+    NetworkConfig(input_dim=4, num_classes=1, generator_hidden_dims=(h,), bottleneck_dim=1)
+    with pytest.raises(InvalidInputError):
+        NetworkConfig(input_dim=4, num_classes=1, generator_hidden_dims=(h + 1,), bottleneck_dim=1)

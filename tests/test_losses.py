@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from swda import losses
 from swda.errors import InvalidInputError
 from swda.losses import (
     PROB_FLOOR,
@@ -195,3 +199,93 @@ def test_strong_weak_empty_batch_is_silent_zero():
     out = strong_weak_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
     assert out.value == 0.0
     assert out.grad_wrt_logits.shape == (0, 3)
+
+
+# --- kernels: the checked losses and the formulas the kernels replaced --------
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def former_cross_entropy(p, y):
+    n, k = p.shape
+    p_true = p[np.arange(n), y]
+    clamped = int(np.count_nonzero(p_true < PROB_FLOOR))
+    if clamped:
+        p_true = np.maximum(p_true, PROB_FLOOR)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    return float(np.mean(-np.log(p_true))), (p - onehot) / n, clamped
+
+
+def former_info_max(p):
+    n = p.shape[0]
+    marginal = p.mean(axis=0)
+    log_marginal = np.log(np.maximum(marginal, PROB_FLOOR))
+    log_p = np.log(np.maximum(p, PROB_FLOOR))
+    value = float(np.sum(marginal * log_marginal) - np.mean(np.sum(p * log_p, axis=1)))
+    dloss_dp = (log_marginal[None, :] - log_p) / n
+    inner = np.sum(dloss_dp * p, axis=1, keepdims=True)
+    return value, p * (dloss_dp - inner)
+
+
+def former_adversarial(l, p, lam):
+    n = l.shape[0]
+    top = np.argmax(l, axis=1)
+    gate = p[np.arange(n), top] > lam
+    grad = np.zeros_like(l)
+    grad[np.arange(n)[gate], top[gate]] = 1.0 / n
+    return float(np.sum(l[np.arange(n), top] * gate) / n), grad
+
+
+def former_strong_weak(p, y):
+    n, k = p.shape
+    p_true = p[np.arange(n), y]
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    return float(np.mean(1.0 - p_true)), (-1.0 / n) * p_true[:, None] * (onehot - p)
+
+
+# exact zeros and probabilities below PROB_FLOOR make cross_entropy clamp;
+# repeated values make ties and probabilities equal to lam
+PROB = st.one_of(st.sampled_from([0.0, 1e-300, 5e-13, PROB_FLOOR, 0.25, 0.5, 0.8, 1.0]), st.floats(0.0, 1.0))
+LOGIT = st.one_of(st.sampled_from([-3.0, 0.0, 2.5]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def loss_operands(draw):
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    p = draw(arrays(np.float64, (n, k), elements=PROB))
+    logits = draw(arrays(np.float64, (n, k), elements=LOGIT))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return p, logits, y, draw(st.sampled_from([0.25, 0.5, 0.8, 1.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(operands=loss_operands())
+def test_kernels_match_checked_losses_and_former_formulas_bitwise(operands):
+    p, logits, y, lam = operands
+    cases = [
+        (losses._cross_entropy(p, y), cross_entropy(p, y), former_cross_entropy(p, y)),
+        (losses._info_max(p), info_max_loss(p), former_info_max(p)),
+        (
+            losses._adversarial_logit(logits, p, lam),
+            adversarial_logit_loss(logits, p, lam),
+            former_adversarial(logits, p, lam),
+        ),
+        (losses._strong_weak(p, y), strong_weak_loss(p, y), former_strong_weak(p, y)),
+    ]
+    for kernel, checked, former in cases:
+        public = (checked.value, checked.grad_wrt_logits, checked.clamped)[: len(kernel)]
+        for a, b, c in zip(kernel, public, former):
+            assert same_bits(a, b) and same_bits(a, c)
+    assert cases[0][0][2] == int(np.count_nonzero(p[np.arange(len(y)), y] < PROB_FLOOR))
+
+
+def test_label_dtype_check_accepts_unsigned_and_rejects_bool():
+    p = np.full((2, 2), 0.5)
+    assert cross_entropy(p, np.array([0, 1], dtype=np.uint8)).value == cross_entropy(p, np.array([0, 1])).value
+    for bad in (np.array([True, False]), np.array([0.0, 1.0])):
+        with pytest.raises(InvalidInputError):
+            cross_entropy(p, bad)

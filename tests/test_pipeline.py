@@ -22,7 +22,7 @@ from swda.pipeline import (
     train_multi_target,
     train_single_target,
 )
-from swda.scaffolding import train_source_only
+from swda.scaffolding import peer_donors, train_source_only
 
 
 def tiny_problem(seed: int = 0, shift: bool = True):
@@ -179,24 +179,43 @@ def test_part3_disabled_matches_paired_single_run():
     assert metrics_to_json(got_metrics) == metrics_to_json(metrics)
 
 
-def test_single_target_multi_replacement_noop(monkeypatch):
-    # one target has no peers, so every replacement call parts 1 and 3 make
-    # gets no donors and hands back the strong entries unchanged
+def _count_replacements(monkeypatch) -> list:
     calls = []
     real = pipeline.replace_with_peers
 
     def spy(own, donors, rng):
-        out = real(own, donors, rng)
-        calls.append((donors, own, out))
-        return out
+        calls.append(donors)
+        return real(own, donors, rng)
 
     monkeypatch.setattr(pipeline, "replace_with_peers", spy)
+    return calls
+
+
+def test_single_target_multi_replacement_noop(monkeypatch):
+    # one target has no peers, so neither part 1 nor part 3 has donors, and
+    # a run without donors makes no replacement call at all
+    calls = _count_replacements(monkeypatch)
     source, target = tiny_problem()
     train_multi_target(tiny_config(), source, [target])
-    assert calls
-    for donors, own, out in calls:
-        assert not any(donors)
-        assert all(a is b for a, b in zip(out.entries, own.entries))
+    assert calls == []
+
+
+def test_single_target_run_makes_no_replacement_call(monkeypatch):
+    calls = _count_replacements(monkeypatch)
+    source, target = tiny_problem()
+    train_single_target(tiny_config(), source, target)
+    assert calls == []
+
+
+def test_part3_run_with_donors_replaces_every_iteration_after_a_refresh(monkeypatch):
+    calls = _count_replacements(monkeypatch)
+    source, t1, t2 = source_and_two_targets()
+    cfg = tiny_config(max_iterations=80)
+    result = train_multi_target(cfg, source, [t1, t2])
+    donor_runs = sum(any(peer_donors(result.graph, slot, result.pseudo_sets)) for slot in (1, 2))
+    assert donor_runs >= 1
+    assert len(calls) == donor_runs * (cfg.max_iterations - cfg.strong_refresh_period)
+    assert all(any(donors) for donors in calls)
 
 
 def test_peer_qualification_runs_once_per_part3_run(monkeypatch):

@@ -504,6 +504,81 @@ def test_weak_set_and_harvest_share_one_ranking(seed, n, k, lam, cap):
             assert weak.entries[j] is None
 
 
+# --- kernels: the weak pick and the fused rows against their former forms -----
+
+def former_weak_picks(P, lam):
+    """{class: row} of update_weak_set's former rule: the first row of each
+    class in _confident_rows' ranking."""
+    rows, top, _ = repsets._confident_rows(P, lam)
+    picks = {}
+    for i in rows.tolist():
+        picks.setdefault(int(top[i]), i)
+    return picks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    k=st.integers(1, 4),
+    lam=st.sampled_from([0.25, 0.5]),
+    data=st.data(),
+)
+def test_masked_argmax_weak_pick_matches_confident_rows(n, k, lam, data):
+    # a handful of values: tied top probabilities, and p == lam, which the
+    # strict threshold excludes
+    row = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=k, max_size=k)
+    P = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    best, hit = repsets._weak_rows(P, lam)
+    want = former_weak_picks(P, lam)
+    assert np.flatnonzero(hit).tolist() == sorted(want)
+    assert all(best[j] == i for j, i in want.items())
+    X = np.arange(n, dtype=float)[:, None]
+    weak = update_weak_set(empty_weak_set(k), X, P, lam)
+    for j in range(k):
+        entry = weak.entries[j]
+        assert (entry is None) == (j not in want)
+        if entry is not None:
+            assert entry.x[0] == want[j] and entry.prob == P[want[j], j]
+
+
+def former_fused_rows(strong, weak, rng):
+    classes = [j for j, st in enumerate(strong.entries) if st is not None]
+    F = np.array([strong.entries[j].x for j in classes], dtype=np.float64)
+    blend = [i for i, j in enumerate(classes) if weak.entries[j] is not None]
+    if blend:
+        r = rng.uniform(0.0, 1.0, size=len(blend))
+        while not r.all():
+            i = np.argmin(r)
+            r[i:] = np.append(r[i + 1 :], rng.uniform(0.0, 1.0))
+        W = np.array([weak.entries[classes[i]].x for i in blend], dtype=np.float64)
+        F[blend] = r[:, None] * F[blend] + (1.0 - r)[:, None] * W
+    return np.array(classes, dtype=np.int64), F
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 5),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.lists(st.sampled_from([0.0, 0.0, 0.125, 0.5, 0.75]), min_size=12, max_size=12),
+    data=st.data(),
+)
+def test_fused_kernel_matches_fused_rows_with_zero_draws(k, d, seed, draws, data):
+    draws = draws + [0.375] * k  # enough nonzero draws left after any zeros
+    rng = np.random.default_rng(seed)
+    present = data.draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any))
+    blended = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    strong = _strong_of([rng.normal(size=d) if p else None for p in present])
+    weak = _weak_of([rng.normal(size=d) if b else None for b in blended])
+    classes, F = fused_rows(strong, weak, QueuedUniform(draws))
+    want_classes, want = former_fused_rows(strong, weak, QueuedUniform(draws))
+    S = np.array([e.x for e in strong.entries if e is not None])
+    W = np.array([weak.entries[j].x if blended[j] else np.zeros(d) for j in classes.tolist()])
+    mask = np.array(blended)[classes]
+    assert classes.tolist() == want_classes.tolist()
+    assert F.tobytes() == want.tobytes() == repsets._fused(S, W, mask, QueuedUniform(draws)).tobytes()
+
+
 # --- serialization ------------------------------------------------------------
 
 def test_pseudo_set_survives_checkpoint_round_trip(tmp_path):
