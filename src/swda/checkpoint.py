@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .datasets import read_utf8
 from .errors import InvalidInputError, ParseError
 from .network import Linear, NetworkParams, ParamTree
 
@@ -46,8 +47,7 @@ def save_arrays(path, arrays: dict) -> None:
 
 def load_arrays(path) -> dict:
     """Read a checkpoint back into {name: ndarray}; raises ParseError on damage."""
-    with open(path) as fh:
-        raw_lines = fh.read().splitlines()
+    raw_lines = read_utf8(path).splitlines()
     if not raw_lines or raw_lines[0].strip() != HEADER:
         raise ParseError(f"missing checkpoint header {HEADER!r}", line=1)
 
@@ -60,7 +60,10 @@ def load_arrays(path) -> dict:
         if len(values) != needed:
             raise ParseError(f"key {name!r} expected {needed} values, found {len(values)}", line=line_no)
         dtype = np.int64 if kind == "i64" else np.float64
-        arrays[name] = np.array(values, dtype=dtype).reshape(shape)
+        try:
+            arrays[name] = np.array(values, dtype=dtype).reshape(shape)
+        except ValueError:  # no values, but a dimension too large for numpy
+            raise ParseError(f"key {name!r} has shape {shape}, too large for an array", line=line_no)
 
     for line_no, line in enumerate(raw_lines[1:], start=2):
         stripped = line.strip()
@@ -81,7 +84,7 @@ def load_arrays(path) -> dict:
                 raise ParseError(f"negative dimension in {stripped!r}", line=line_no)
             if name in arrays:
                 raise ParseError(f"duplicate key {name!r}", line=line_no)
-            current = (name, kind, shape, int(np.prod(shape, dtype=np.int64)), [])
+            current = (name, kind, shape, math.prod(shape), [])
         else:
             if current is None:
                 raise ParseError(f"values before any key line: {stripped!r}", line=line_no)
@@ -89,7 +92,7 @@ def load_arrays(path) -> dict:
             for tok in parts:
                 try:
                     value = int(tok) if kind == "i64" else float.fromhex(tok)
-                except ValueError:
+                except (ValueError, OverflowError):  # fromhex overflows on a huge exponent
                     raise ParseError(f"bad {kind} token {tok!r}", line=line_no)
                 # save_arrays writes only finite float64 and int64 values; a
                 # damaged token is bad input here, not a numerical error later

@@ -25,6 +25,7 @@ from .datasets import (
     SyntheticSpec,
     generate,
     load_csv,
+    read_utf8,
     save_csv,
 )
 from .errors import (
@@ -34,6 +35,7 @@ from .errors import (
     InvalidDatasetError,
     InvalidInputError,
     NotInitializedError,
+    ParseError,
     SwdaError,
 )
 from .losses import LossWeights
@@ -64,10 +66,11 @@ _TRANSFORM_KEYS = {f.name for f in fields(DomainTransform)}
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
+    except ParseError as exc:
+        raise ConfigError(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -229,6 +232,12 @@ def cmd_distance_graph(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Aggregate every metrics.json under --runs; with all three --scatter-*
+    options, also draw a checkpoint's 2-d features of one domain. Every
+    input is read and checked before any file is written."""
+    scatter = (args.scatter_checkpoint, args.scatter_domain, args.scatter_out)
+    if any(scatter) and not all(scatter):
+        raise ConfigError("--scatter-checkpoint, --scatter-domain and --scatter-out must be given together")
     runs_dir = Path(args.runs)
     metric_files = sorted(runs_dir.rglob("metrics.json"))
     if not metric_files:
@@ -247,23 +256,21 @@ def cmd_report(args) -> int:
         if not (type(final) in (int, float) and 0 <= final <= 1):
             raise ConfigError(f"{path}: final_accuracy must be null or a number in [0, 1], got {json.dumps(final)}")
         groups.setdefault(task, []).append(float(final))
+    if args.scatter_checkpoint:
+        params = ckpt.load_params(args.scatter_checkpoint)
+        if params.bottleneck.weight.shape[0] != 2:
+            raise ConfigError("feature scatter requires a 2-dimensional bottleneck")
+        fwd = forward(params, load_csv(args.scatter_domain).samples)
+        svg = _scatter_svg(fwd.norm_features, np.argmax(fwd.probs, axis=1))
+
     lines = ["task mean_final_accuracy num_runs"]
     for task in sorted(groups):
         finals = groups[task]
         lines.append(f"{task} {float(np.mean(finals)):.6f} {len(finals)}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"aggregated {len(metric_files)} run files into {args.out}")
-
     if args.scatter_checkpoint:
-        if not args.scatter_domain or not args.scatter_out:
-            raise ConfigError("--scatter-checkpoint needs --scatter-domain and --scatter-out")
-        params = ckpt.load_params(args.scatter_checkpoint)
-        if params.bottleneck.weight.shape[0] != 2:
-            raise ConfigError("feature scatter requires a 2-dimensional bottleneck")
-        dom = load_csv(args.scatter_domain)
-        fwd = forward(params, dom.samples)
-        labels = np.argmax(fwd.probs, axis=1)
-        Path(args.scatter_out).write_text(_scatter_svg(fwd.norm_features, labels))
+        Path(args.scatter_out).write_text(svg)
         print(f"wrote feature scatter to {args.scatter_out}")
     return 0
 

@@ -244,7 +244,17 @@ def standard_between_spec(seed: int = 0) -> SyntheticSpec:
     )
 
 
-# --- CSV I/O ------------------------------------------------------------------
+# --- text and CSV I/O ----------------------------------------------------------
+
+def read_utf8(path) -> str:
+    """The text of the file at ``path``, decoded as strict UTF-8 (a BOM is
+    kept as U+FEFF); a byte that is not UTF-8 raises ParseError with its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text", line=raw.count(b"\n", 0, exc.start) + 1)
+
 
 def save_csv(domain: Domain, path) -> None:
     """Header label,f0..f{d-1}; 17-significant-digit decimals; '?' labels
@@ -260,11 +270,7 @@ def save_csv(domain: Domain, path) -> None:
 
 def load_csv(path) -> Domain:
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text", line=raw.count(b"\n", 0, exc.start) + 1)
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].split(",")

@@ -175,9 +175,7 @@ class ForwardResult:
 
 def forward(params: NetworkParams, inputs) -> ForwardResult:
     """Full forward pass, caching every intermediate needed by backward()."""
-    x = as_float_array(inputs)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = as_float_array(inputs, ndim=2)
     in_dim = params.generator[0].weight.shape[1] if params.generator else params.bottleneck.weight.shape[1]
     if x.shape[1] != in_dim:
         raise InvalidInputError(f"inputs have {x.shape[1]} columns, network expects {in_dim}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -81,7 +80,6 @@ class RunMetrics:
     accuracy_iterations: list  # iterations at which target accuracy was measured
     accuracy_series: list
     final_accuracy: float | None  # None when the target carries no labels
-    wall_clock_seconds: float = 0.0  # informational; never serialized
 
 
 def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
@@ -123,7 +121,6 @@ def _adaptation_run(
     as the unchecked kernels behind the public functions of losses and
     repsets, on the strong and weak sets held as (k, d) row matrices.
     forward still rejects zero-norm features and non-finite logits."""
-    start = time.perf_counter()
     w = config.weights
     k = config.network.num_classes
     params = init_params(config.network, config.seed)
@@ -215,7 +212,6 @@ def _adaptation_run(
     if target.labels is not None:
         metrics.final_accuracy = accuracy(full.probs, target.labels)
     pseudo = harvest_pseudo_strong(target.samples, full.probs, w.lam)
-    metrics.wall_clock_seconds = time.perf_counter() - start
     return params, metrics, pseudo
 
 

@@ -13,8 +13,8 @@ coefficient; selection mirrors the predicted label distribution of the
 current batch so the fused supervision cannot drown out the target data.
 The weak-set pick (_weak_rows, one masked argmax per class) and the
 fusion (_fused, on (m, d) strong and weak row matrices) are unchecked
-kernels: the trainer calls them on arrays it built, and update_weak_set,
-fused_rows and fuse check their arguments and call them.
+kernels: the trainer calls them on arrays it built, and update_weak_set
+and fuse check their arguments and call them.
 
 Centroids and feature norms are exactly rounded sums over samples, the
 values math.fsum gives and therefore order-independent. They come from
@@ -269,12 +269,11 @@ def _fused(S: Array, W: Array, blend: Array, rng) -> Array:
     return F
 
 
-def fused_rows(strong: StrongSet, weak: WeakSet, rng) -> tuple:
-    """(classes, F): the classes that have a strong entry, ascending, and
-    F[i] the fused sample of class classes[i], x_sw = r*x_strong +
-    (1-r)*x_weak with r ~ U(0,1), one fresh r per class that also has a
-    weak entry, drawn as _fused does; a class without one keeps its strong
-    sample (r=1)."""
+def fuse(strong: StrongSet, weak: WeakSet, rng) -> list:
+    """The fused sample of each class, or None for a class without a strong
+    entry: x_sw = r*x_strong + (1-r)*x_weak with r ~ U(0,1), one fresh r
+    per class that also has a weak entry, drawn as _fused does; a class
+    without one keeps its strong sample (r=1)."""
     if not strong.populated:
         raise NotInitializedError("strong set is empty; fusion unavailable")
     if len(weak.entries) != len(strong.entries):
@@ -284,44 +283,25 @@ def fused_rows(strong: StrongSet, weak: WeakSet, rng) -> tuple:
     S = np.array([strong.entries[j].x for j in classes], dtype=np.float64)
     # an unblended class's W row is never read; its strong row fills the slot
     W = np.array([(weak if b else strong).entries[j].x for j, b in zip(classes, blend)], dtype=np.float64)
-    return np.array(classes, dtype=np.int64), _fused(S, W, np.array(blend, dtype=bool), rng)
-
-
-def fuse(strong: StrongSet, weak: WeakSet, rng) -> list:
-    """fused_rows as a per-class list: the fused sample of each class, or
-    None for a class without a strong entry."""
-    classes, F = fused_rows(strong, weak, rng)
     fused = [None] * len(strong.entries)
-    for j, row in zip(classes.tolist(), F):
+    for j, row in zip(classes, _fused(S, W, np.array(blend, dtype=bool), rng)):
         fused[j] = row
     return fused
 
 
-def sw_rows(classes: Array, num_classes: int, pred: Array) -> tuple:
-    """(rows, labels) of the strong-weak batch: for each predicted label, in
-    order, whose class is in ``classes``, the row of its fused sample in
-    fused_rows' F and the label; other predictions are dropped. ``pred``
-    must be an int array with entries in [0, num_classes)."""
-    slot = np.full(num_classes, -1)
-    slot[classes] = np.arange(classes.size)
-    rows = slot[pred]
-    kept = rows >= 0
-    return rows[kept], pred[kept].astype(np.int64)
-
-
 def select_sw_batch(fused: list, pred_labels) -> FusedBatch:
     """One fused sample per predicted label, preserving multiplicity and
-    order; labels whose class has no fused vector are dropped."""
+    order; labels whose class has no fused vector are dropped, and a batch
+    that keeps none has inputs of shape (0, 0)."""
     y = np.asarray(pred_labels)
     if y.ndim != 1 or y.size == 0 or not np.issubdtype(y.dtype, np.integer):
         raise InvalidInputError("pred_labels must be a non-empty 1-d integer index array")
     k = len(fused)
     if y.min() < 0 or y.max() >= k:
         raise InvalidInputError(f"predicted labels must lie in [0, {k})")
-    classes = np.array([j for j, v in enumerate(fused) if v is not None], dtype=np.int64)
-    F = np.stack([fused[j] for j in classes.tolist()]) if classes.size else np.zeros((0, 0))
-    rows, labels = sw_rows(classes, k, y)
-    return FusedBatch(F[rows], labels)
+    kept = [j for j in y.tolist() if fused[j] is not None]
+    inputs = np.stack([fused[j] for j in kept]) if kept else np.zeros((0, 0))
+    return FusedBatch(inputs, np.array(kept, dtype=np.int64))
 
 
 def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStrongSet:

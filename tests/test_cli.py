@@ -530,6 +530,43 @@ def test_fuzzed_csv_exits_0_2_or_3_without_traceback(csv_fuzz_dir, data, which):
     assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
 
 
+def _ff_on_line(path, line: int) -> None:
+    """Put a 0xff byte, which is never UTF-8, at the start of a file line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "config", "spec", "metrics"])
+def test_non_utf8_input_exit_2_naming_its_line(tmp_path, capsys, which):
+    write_dataset(tmp_path)
+    source, target = str(tmp_path / "source.csv"), str(tmp_path / "target.csv")
+    out = tmp_path / "out"
+    if which == "checkpoint":
+        path = tmp_path / "net.txt"
+        ckpt.save_params(path, init_params(NetworkConfig(input_dim=4, num_classes=3), seed=0))
+        argv = ["distance-graph", "--checkpoint", str(path), "--domains", source, target, "--out", str(out)]
+    elif which == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SMALL_CONFIG, indent=1))
+        argv = ["train-single", "--config", str(path), "--source", source, "--target", target, "--out", str(out)]
+    elif which == "spec":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"num_classes": 2, "input_dim": 2, "samples_per_class": 3, "transforms": [{}]}, indent=1))
+        argv = ["generate", "--spec", str(path), "--out", str(out)]
+    else:
+        path = tmp_path / "runs" / "r0" / "metrics.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"config": {}, "final_accuracy": 0.5}, indent=1))
+        argv = ["report", "--runs", str(tmp_path / "runs"), "--out", str(out)]
+    _ff_on_line(path, 3)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith("line 3: byte 0xff is not UTF-8 text"), err
+    assert "unexpected" not in err and not out.exists()
+
+
 def test_unexpected_exception_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -739,6 +776,110 @@ def test_nan_checkpoint_value_exit_2(tmp_path, capsys):
     assert not (tmp_path / "graph.txt").exists()
 
 
+def run_distance_graph(tmp_path, checkpoint):
+    return main(
+        [
+            "distance-graph",
+            "--checkpoint",
+            str(checkpoint),
+            "--domains",
+            str(tmp_path / "source.csv"),
+            str(tmp_path / "target.csv"),
+            "--out",
+            str(tmp_path / "graph.txt"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        # 2^32 * 2^32 values wrap to 0 in an int64 product
+        (["key tau f64 4294967296 4294967296", "0x1.0p+4"], "key 'tau' expected 18446744073709551616 values, found 1"),
+        (["key tau f64 " + "1" * 23, "0x1.0p+4"], f"key 'tau' expected {'1' * 23} values, found 1"),
+        (["key tau f64 0 " + "1" * 23], f"key 'tau' has shape (0, {'1' * 23}), too large for an array"),
+    ],
+    ids=["product-beyond-int64", "23-digit-dimension", "empty-with-huge-dimension"],
+)
+def test_checkpoint_dimension_beyond_int64_exit_2(tmp_path, capsys, tail, message):
+    # a damaged dimension is bad input, not a numerical failure
+    write_dataset(tmp_path)
+    params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(16,), bottleneck_dim=8), seed=0)
+    ckpt.save_params(tmp_path / "ckpt.txt", params)
+    lines = (tmp_path / "ckpt.txt").read_text().splitlines()
+    assert lines[-2] == "key tau f64 "  # tau, a scalar, is the last key
+    (tmp_path / "ckpt.txt").write_text("\n".join(lines[:-2] + tail) + "\n")
+    assert run_distance_graph(tmp_path, tmp_path / "ckpt.txt") == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and re.fullmatch(rf"error: line \d+: {re.escape(message)}", errors[0]), errors
+    assert not (tmp_path / "graph.txt").exists()
+
+
+# --- fuzzed checkpoints ---------------------------------------------------------
+# Each example edits the key lines (name, kind, dimensions) and value tokens
+# of a valid checkpoint, or repeats one of its lines, then maybe truncates it
+# or inserts a byte that is not UTF-8.
+
+CKPT_NAMES = st.sampled_from(["tau", "classifier", "bottleneck.bias", "generator.0.weight", "generator.9.bias", ""])
+CKPT_KINDS = st.sampled_from(["f64", "i64", "f32", ""])
+CKPT_DIMS = st.one_of(
+    st.integers(0, 20).map(str),
+    st.sampled_from(["-1", "-0", "1.5", "x", "", str(2**32), str(2**63), str(10**22), "9" * 5000]),
+)
+CKPT_TOKENS = st.one_of(
+    st.floats(-5.0, 5.0).map(float.hex),
+    st.sampled_from(["nan", "inf", "-inf", "0x1p99999", "0x1p-1080", "1e400", "zz", "7", str(2**63), "9" * 5000]),
+)
+
+
+@st.composite
+def fuzzed_checkpoint(draw, text: str) -> bytes:
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        parts = lines[i].split(" ")
+        op = draw(st.sampled_from(["set", "set", "drop", "add", "repeat"]))
+        if op == "repeat":  # a duplicate key, or one block too many values
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+            continue
+        key = parts[0] == "key"
+        j = draw(st.integers(int(key), len(parts) - 1))
+        if op == "drop":
+            del parts[j]
+        else:
+            field = (CKPT_NAMES, CKPT_KINDS)[j - 1] if key and j < 3 else CKPT_DIMS if key else CKPT_TOKENS
+            parts[j : j + (op == "set")] = [draw(field)]
+        lines[i] = " ".join(parts)
+    if draw(st.integers(0, 5)) == 0:
+        lines = lines[: draw(st.integers(0, len(lines)))]
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def ckpt_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt_fuzz")
+    write_dataset(path)
+    params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(3,), bottleneck_dim=2), seed=0)
+    ckpt.save_params(path / "valid.txt", params)
+    return path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_exits_0_2_or_3_without_traceback(ckpt_fuzz_dir, data):
+    case = ckpt_fuzz_dir / "case.txt"
+    case.write_bytes(data.draw(fuzzed_checkpoint((ckpt_fuzz_dir / "valid.txt").read_text())))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_distance_graph(ckpt_fuzz_dir, case)
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
+
+
 def test_distance_graph_report(tmp_path):
     write_dataset(tmp_path)
     params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(16,), bottleneck_dim=8), seed=3)
@@ -905,6 +1046,7 @@ def test_report_scatter_requires_2d_bottleneck(tmp_path):
         ]
     )
     assert rc == 2
+    assert not (tmp_path / "summary.txt").exists()  # checked before any output
 
 
 def test_report_scatter_missing_domain_exit_2(tmp_path):
@@ -922,6 +1064,24 @@ def test_report_scatter_missing_domain_exit_2(tmp_path):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "given",
+    [("checkpoint",), ("checkpoint", "domain"), ("checkpoint", "out"), ("domain",), ("out",), ("domain", "out")],
+    ids=lambda given: "+".join(given),
+)
+def test_report_incomplete_scatter_options_exit_2_before_any_output(tmp_path, capsys, given):
+    run = tmp_path / "runs" / "r0"
+    run.mkdir(parents=True)
+    (run / "metrics.json").write_text('{"final_accuracy": 0.5}')
+    scatter = [(f"--scatter-{name}", str(tmp_path / f"scatter-{name}")) for name in given]
+    out = tmp_path / "summary.txt"
+    argv = ["report", "--runs", str(tmp_path / "runs"), "--out", str(out)]
+    assert main(argv + [token for pair in scatter for token in pair]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --scatter-checkpoint, --scatter-domain and --scatter-out must be given together\n"
+    assert not out.exists() and not (tmp_path / "scatter-out").exists()
 
 
 def test_train_multi_end_to_end(tmp_path):

@@ -99,6 +99,14 @@ def test_forward_rejects_wrong_width():
         forward(params, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 1, 4)], ids=["1-d", "3-d"])
+def test_forward_rejects_inputs_that_are_not_2d(shape):
+    # one sample is a (1, d) row too; a bare 1-d vector is a bad shape
+    params = init_params(SMALL, 0)
+    with pytest.raises(InvalidInputError, match="expected a 2-d array"):
+        forward(params, np.ones(shape))
+
+
 def test_forward_zero_feature_row_raises():
     params = init_params(SMALL, 0)
     for layer in params.generator:

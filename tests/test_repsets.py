@@ -21,11 +21,9 @@ from swda.repsets import (
     compute_centroids,
     empty_weak_set,
     fuse,
-    fused_rows,
     harvest_pseudo_strong,
     pseudo_to_arrays,
     select_sw_batch,
-    sw_rows,
     update_strong_set,
     update_weak_set,
 )
@@ -374,7 +372,7 @@ class QueuedUniform:
         return out
 
 
-def test_fused_rows_match_one_scalar_draw_per_class():
+def test_fuse_matches_one_scalar_draw_per_class():
     rng = np.random.default_rng(18)
     for _ in range(200):
         k, d = int(rng.integers(1, 8)), int(rng.integers(1, 5))
@@ -384,10 +382,10 @@ def test_fused_rows_match_one_scalar_draw_per_class():
         weak = _weak_of([rng.normal(size=d) if rng.random() < 0.7 else None for _ in range(k)])
         seed = int(rng.integers(2**31))
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        classes, F = fused_rows(strong, weak, a)
+        fused = fuse(strong, weak, a)
         expected = _scalar_fuse(strong, weak, b)
-        assert classes.tolist() == [j for j, v in enumerate(expected) if v is not None]
-        assert F.tobytes() == np.array([v for v in expected if v is not None]).tobytes()
+        assert [v is None for v in fused] == [v is None for v in expected]
+        assert all(v is None or v.tobytes() == w.tobytes() for v, w in zip(fused, expected))
         assert a.random() == b.random()  # as many draws consumed
 
 
@@ -402,27 +400,25 @@ def _scalar_fuse_draws(draws):
     return taken
 
 
-def test_fused_rows_redraw_a_zero_coefficient_in_draw_order():
+def test_fuse_redraws_a_zero_coefficient_in_draw_order():
     strong = _strong_of([[0.0], [0.0], [0.0]])
     weak = _weak_of([[1.0], [1.0], [1.0]])
     draws = [0.5, 0.0, 0.25, 0.0, 0.75, 0.125]
-    _, F = fused_rows(strong, weak, QueuedUniform(draws))
-    assert F.ravel().tolist() == [1.0 - r for r in _scalar_fuse_draws(draws)]
-
-
-def test_sw_rows_gather_rule():
-    # classes 0 and 2 have fused rows 0 and 1; class 1 has none
-    rows, labels = sw_rows(np.array([0, 2]), 3, np.array([2, 1, 0, 2]))
-    assert rows.tolist() == [1, 0, 1] and labels.tolist() == [2, 0, 2]
+    fused = fuse(strong, weak, QueuedUniform(draws))
+    assert [float(v[0]) for v in fused] == [1.0 - r for r in _scalar_fuse_draws(draws)]
 
 
 def test_select_sw_batch_mirrors_predictions():
-    fused = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), None]
-    batch = select_sw_batch(fused, np.array([1, 0, 1, 2, 1]))
-    # class 2 has no fused vector; its occurrence is dropped
-    assert batch.pseudo_labels.tolist() == [1, 0, 1, 1]
-    assert np.array_equal(batch.inputs[0], [1.0, 1.0])
-    assert np.array_equal(batch.inputs[1], [0.0, 0.0])
+    cases = [
+        # class 2 has no fused vector; its occurrence is dropped
+        ([[0.0, 0.0], [1.0, 1.0], None], [1, 0, 1, 2, 1], [1, 0, 1, 1]),
+        # class 1 has none, between two that do
+        ([[0.0, 0.0], None, [2.0, 2.0]], [2, 1, 0, 2], [2, 0, 2]),
+    ]
+    for fused, preds, labels in cases:
+        batch = select_sw_batch([None if v is None else np.array(v) for v in fused], np.array(preds))
+        assert batch.pseudo_labels.dtype == np.int64 and batch.pseudo_labels.tolist() == labels
+        assert batch.inputs.tolist() == [fused[j] for j in labels]
 
 
 def test_select_sw_batch_empty_result():
@@ -541,7 +537,7 @@ def test_masked_argmax_weak_pick_matches_confident_rows(n, k, lam, data):
             assert entry.x[0] == want[j] and entry.prob == P[want[j], j]
 
 
-def former_fused_rows(strong, weak, rng):
+def former_fuse(strong, weak, rng):
     classes = [j for j, st in enumerate(strong.entries) if st is not None]
     F = np.array([strong.entries[j].x for j in classes], dtype=np.float64)
     blend = [i for i, j in enumerate(classes) if weak.entries[j] is not None]
@@ -563,19 +559,20 @@ def former_fused_rows(strong, weak, rng):
     draws=st.lists(st.sampled_from([0.0, 0.0, 0.125, 0.5, 0.75]), min_size=12, max_size=12),
     data=st.data(),
 )
-def test_fused_kernel_matches_fused_rows_with_zero_draws(k, d, seed, draws, data):
+def test_fused_kernel_matches_fuse_with_zero_draws(k, d, seed, draws, data):
     draws = draws + [0.375] * k  # enough nonzero draws left after any zeros
     rng = np.random.default_rng(seed)
     present = data.draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any))
     blended = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
     strong = _strong_of([rng.normal(size=d) if p else None for p in present])
     weak = _weak_of([rng.normal(size=d) if b else None for b in blended])
-    classes, F = fused_rows(strong, weak, QueuedUniform(draws))
-    want_classes, want = former_fused_rows(strong, weak, QueuedUniform(draws))
+    fused = fuse(strong, weak, QueuedUniform(draws))
+    classes, want = former_fuse(strong, weak, QueuedUniform(draws))
     S = np.array([e.x for e in strong.entries if e is not None])
     W = np.array([weak.entries[j].x if blended[j] else np.zeros(d) for j in classes.tolist()])
     mask = np.array(blended)[classes]
-    assert classes.tolist() == want_classes.tolist()
+    assert [j for j, v in enumerate(fused) if v is not None] == classes.tolist()
+    F = np.array([fused[j] for j in classes.tolist()])
     assert F.tobytes() == want.tobytes() == repsets._fused(S, W, mask, QueuedUniform(draws)).tobytes()
 
 
