@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .datasets import read_utf8
+from .datasets import names_its_file, read_utf8
 from .errors import InvalidInputError, ParseError
 from .network import Linear, NetworkParams, ParamTree
 
@@ -45,6 +45,7 @@ def save_arrays(path, arrays: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@names_its_file
 def load_arrays(path) -> dict:
     """Read a checkpoint back into {name: ndarray}; raises ParseError on damage."""
     raw_lines = read_utf8(path).splitlines()
@@ -98,6 +99,8 @@ def load_arrays(path) -> dict:
                 # damaged token is bad input here, not a numerical error later
                 if not (math.isfinite(value) if kind == "f64" else -(2**63) <= value < 2**63):
                     raise ParseError(f"{kind} token {tok!r} is not a finite 64-bit value", line=line_no)
+                if kind == "f64" and not tok.startswith(("0x", "-0x")):  # fromhex reads 10 as 16.0
+                    raise ParseError(f"f64 token {tok!r} is not in float.hex form", line=line_no)
                 values.append(value)
             if len(values) > needed:
                 raise ParseError(f"too many values for key {current[0]!r}", line=line_no)
@@ -119,8 +122,8 @@ def params_to_arrays(params: NetworkParams) -> dict:
 
 
 def arrays_to_params(arrays: dict) -> NetworkParams:
-    """Pack checkpoint arrays into NetworkParams; a missing key, a bad tau
-    or layer shapes that do not chain raise InvalidInputError."""
+    """Pack checkpoint arrays into NetworkParams; a missing or unused key, a
+    bad tau or layer shapes that do not chain raise InvalidInputError."""
     try:
         n_layers = 0
         while f"generator.{n_layers}.weight" in arrays:
@@ -136,9 +139,12 @@ def arrays_to_params(arrays: dict) -> NetworkParams:
         tau = float(tau)
         if not math.isfinite(tau) or tau <= 0.0:
             raise InvalidInputError(f"checkpoint tau={tau} must be positive")
-        return ParamTree(gen, bottleneck, arrays["classifier"], tau)
+        params = ParamTree(gen, bottleneck, arrays["classifier"], tau)
     except KeyError as exc:
         raise InvalidInputError(f"checkpoint is missing key {exc.args[0]!r}")
+    if unused := sorted(set(arrays) - set(params_to_arrays(params))):
+        raise InvalidInputError(f"checkpoint keys {unused} are not part of a network with {n_layers} generator layers")
+    return params
 
 
 def save_params(path, params: NetworkParams) -> None:

@@ -25,6 +25,7 @@ from .datasets import (
     SyntheticSpec,
     generate,
     load_csv,
+    names_its_file,
     read_utf8,
     save_csv,
 )
@@ -64,15 +65,14 @@ _SPEC_KEYS = {f.name for f in fields(SyntheticSpec)}
 _TRANSFORM_KEYS = {f.name for f in fields(DomainTransform)}
 
 
+@names_its_file
 def _load_json(path) -> dict:
     try:
         doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})")
-    except ParseError as exc:
-        raise ConfigError(f"{path}: {exc}")
+        raise ParseError(f"not valid JSON ({exc})")
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ParseError("top level must be a JSON object")
     return doc
 
 

@@ -14,6 +14,7 @@ target labels except for evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .mathutils import Array, as_float_array, check_fields
+from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, check_fields
 
 CIRCLE_RADIUS = 4.0
 
@@ -82,15 +83,16 @@ class SyntheticSpec:
             raise InvalidInputError("need at least one domain transform")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
+        # generate() fills (k, m, d) and (d, d) arrays; counted in Python ints, as
+        # NetworkConfig counts, either one too large blames the largest size
+        sizes = {f: getattr(self, f) for f in ("num_classes", "samples_per_class", "input_dim")}
+        if max(math.prod(sizes.values()), self.input_dim**2) > MAX_FLOAT64_ENTRIES:
+            raise InvalidInputError(f"{max(sizes, key=sizes.get)} is too large: the samples would not fit a float64 array")
         for t in self.transforms:
             if t.translation and len(t.translation) != self.input_dim:
-                raise InvalidInputError(
-                    f"translation length {len(t.translation)} != input_dim {self.input_dim}"
-                )
+                raise InvalidInputError(f"translation length {len(t.translation)} != input_dim {self.input_dim}")
             if t.class_skew and len(t.class_skew) != self.num_classes:
-                raise InvalidInputError(
-                    f"class_skew length {len(t.class_skew)} != num_classes {self.num_classes}"
-                )
+                raise InvalidInputError(f"class_skew length {len(t.class_skew)} != num_classes {self.num_classes}")
 
 
 def rotation_matrix(deg: float, dim: int) -> Array:
@@ -145,11 +147,11 @@ def generate(spec: SyntheticSpec) -> list:
         R = rotation_matrix(t.rotation_deg, dim)
         shift = np.array(t.translation) if t.translation else np.zeros(dim)
         skew = np.array(t.class_skew) if t.class_skew else np.ones(k)
-        blocks = []
-        for c in range(k):
-            pts = skew[c] * (mus[c] + t.noise_scale * eps[c])
-            blocks.append(pts @ R.T + shift)
-        domains.append(Domain(_domain_name(i), np.concatenate(blocks), labels.copy()))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            samples = np.concatenate([(skew[c] * (mus[c] + t.noise_scale * eps[c])) @ R.T + shift for c in range(k)])
+        if not np.isfinite(samples).all():
+            raise InvalidInputError(f"transforms[{i}] gives non-finite samples: its scales or shift overflow a float64")
+        domains.append(Domain(_domain_name(i), samples, labels.copy()))
     return domains
 
 
@@ -256,6 +258,20 @@ def read_utf8(path) -> str:
         raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text", line=raw.count(b"\n", 0, exc.start) + 1)
 
 
+def names_its_file(load):
+    """Decorate load(path) so that a ParseError it raises names the path."""
+
+    @functools.wraps(load)
+    def load_naming_file(path):
+        try:
+            return load(path)
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)  # exc.line stays
+            raise
+
+    return load_naming_file
+
+
 def save_csv(domain: Domain, path) -> None:
     """Header label,f0..f{d-1}; 17-significant-digit decimals; '?' labels
     for unlabeled domains. LF endings."""
@@ -268,6 +284,7 @@ def save_csv(domain: Domain, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@names_its_file
 def load_csv(path) -> Domain:
     path = Path(path)
     lines = read_utf8(path).splitlines()

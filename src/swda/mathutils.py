@@ -1,15 +1,13 @@
 """Dense float64 math primitives the rest of the package builds on.
 
-Everything is pure and deterministic. Norms and cosine distances
-accumulate with ``math.fsum`` (exactly rounded, order independent), so
-any two code paths that evaluate the same formula on the same operands
-agree bit for bit. The distance graph relies on that, and the
-nearest-centroid searches in ``repsets`` use these fsum distances as the
-reference that their certified BLAS tables are checked against.
-``column_fsums`` gives the same exactly rounded sums for every column of
-a matrix at once: a vectorized error-free cascade whose certified error
-bound decides, per column, whether its result is fsum's, and math.fsum
-itself for the columns it cannot certify.
+Everything is pure and deterministic. ``column_fsums``, the package's one
+caller of math.fsum, gives fsum's exactly rounded, order-independent sum
+of every column of a matrix at once: a vectorized error-free cascade
+whose certified error bound decides, per column, whether its result is
+fsum's, and math.fsum itself for the other columns. ``row_norms`` and
+``cosine_distances`` sum through it, so any two code paths that evaluate
+the same formula on the same operands agree bit for bit: the distance
+graph, and the fallback of the certified BLAS nearest searches in repsets.
 
 ``serial_blas`` pins the loaded OpenBLAS to one thread while a trainer
 runs; see its docstring for why that is safe and faster.
@@ -25,12 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 
 Array = np.ndarray
 
 #: default step for central finite differences
 FD_EPS = 1e-5
+MAX_FLOAT64_ENTRIES = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can make
 
 
 def as_float_array(x, ndim: int | None = None) -> Array:
@@ -188,32 +187,24 @@ def column_fsums(M: Array) -> Array:
     return out
 
 
-def exact_norm(v: Array) -> float:
-    """Euclidean norm via exactly rounded summation."""
-    return math.sqrt(math.fsum((v * v).tolist()))
+def row_norms(M: Array) -> Array:
+    """sqrt(fsum(r * r)) for every row r of a 2-d float64 array."""
+    return np.sqrt(column_fsums(np.multiply(M.T, M.T, order="C")))
 
 
-def cosine_distance_with_norms(a: Array, b: Array, norm_a: float, norm_b: float) -> float:
-    """Cosine distance when the operand norms are already known (finite and
-    nonzero); a nan would clip to 0.0, so callers check norms first."""
-    dot = math.fsum((a * b).tolist())
-    d = 1.0 - dot / (norm_a * norm_b)
-    return min(2.0, max(0.0, d))
-
-
-def cosine_distance(a, b) -> float:
-    """1 - cos(angle between a and b); range [0, 2], 0 iff positively aligned."""
-    x = as_float_array(a, ndim=1)
-    y = as_float_array(b, ndim=1)
-    if x.shape != y.shape:
-        raise InvalidInputError(f"shape mismatch {x.shape} vs {y.shape}")
-    na = exact_norm(x)
-    nb = exact_norm(y)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine distance of a zero vector is undefined")
-    if not (math.isfinite(na) and math.isfinite(nb)):
-        raise DegenerateInputError("cosine distance of a non-finite vector (or an overflowing norm) is undefined")
-    return cosine_distance_with_norms(x, y, na, nb)
+def cosine_distances(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:
+    """min(2, max(0, 1 - fsum(a * b) / (|a| |b|))), bit for bit, for each row
+    a of A and b of B, given finite, nonzero row norms, with one column_fsums
+    call per row of the shorter operand. It raises where that formula does:
+    OverflowError for a dot product fsum overflows on, and ArithmeticError for
+    a norm product that underflows to 0."""
+    if A.shape[0] > B.shape[0]:
+        return cosine_distances(B, b_norms, A, a_norms).T
+    dots = np.empty((A.shape[0], B.shape[0]))
+    for r, a in enumerate(A):
+        dots[r] = column_fsums(np.multiply(B.T, a[:, None], order="C"))
+    with np.errstate(over="ignore", divide="raise", invalid="raise"):
+        return np.clip(1.0 - dots / np.outer(a_norms, b_norms), 0.0, 2.0)
 
 
 def finite_diff_gradient(f: Callable[[Array], float], x, eps: float = FD_EPS) -> Array:

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .mathutils import Array, as_float_array, check_fields, softmax_of_finite
+from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, check_fields, softmax_of_finite
 
 MOMENTUM = 0.9  # sgd_step's velocity decay
-MAX_FLOAT64_ENTRIES = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can make
 
 
 @dataclass

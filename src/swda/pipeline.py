@@ -240,12 +240,13 @@ def _part1_task(args):
 
 def _part3_task(args):
     config, source, target, slot, donors = args
-    cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART3, slot))
+    cfg = replace(config, seed=part3_seed(config.seed, slot - 1))
     params, metrics, _ = _adaptation_run(cfg, source, target, donors)
-    return slot, params, metrics
+    return params, metrics
 
 
 def _run_tasks(fn, tasks, jobs: int):
+    """[fn(t) for t in tasks], in task order, on up to jobs processes."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     # under fork the pool starts all max_workers processes at the first submit
@@ -286,7 +287,7 @@ def train_multi_target(
     source_params = train_source_only(cfg_src, source)
     graph = build_distance_graph(centroids_for_domains(source_params, [source] + list(targets)))
 
-    part3 = _run_tasks(
+    per_target = _run_tasks(
         _part3_task,
         [
             (config, source, t, slot, peer_donors(graph, slot, pseudo_sets))
@@ -294,8 +295,6 @@ def train_multi_target(
         ],
         jobs,
     )
-    by_slot = {slot: (params, metrics) for slot, params, metrics in part3}
-    per_target = [by_slot[slot] for slot in range(1, len(targets) + 1)]
     return MultiTargetResult(per_target, graph, pseudo_sets, source_params)
 
 

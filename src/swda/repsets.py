@@ -18,12 +18,12 @@ and fuse check their arguments and call them.
 
 Centroids and feature norms are exactly rounded sums over samples, the
 values math.fsum gives and therefore order-independent. They come from
-mathutils.column_fsums, which sums every column at once with a
-vectorized error-free cascade and a certified bound, and hands the rare
-column the bound cannot settle to math.fsum itself. The nearest-centroid and
-nearest-sample searches build the whole cosine-distance table with one
-BLAS product and a certified error bound: only entries the bound cannot
-separate from the row minimum are re-evaluated through fsum, so the
+mathutils.column_fsums (the norms through mathutils.row_norms), which
+sums every column at once with a vectorized error-free cascade and a
+certified bound. The nearest-centroid and nearest-sample searches build
+the whole cosine-distance table with one BLAS product and a certified
+error bound: only entries the bound cannot separate from the row minimum
+take their exact distances from mathutils.cosine_distances, so the
 chosen indices are bit-identical to a naive double loop over fsum
 distances.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
-from .mathutils import Array, as_float_array, column_fsums, cosine_distance_with_norms
+from .mathutils import Array, as_float_array, column_fsums, cosine_distances, row_norms
 
 
 @dataclass
@@ -119,9 +119,9 @@ def _in_safe_range(norms: Array) -> Array:
 def _row_norms(M: Array, what: str, ids=None) -> Array:
     """Exact norm of every row. A zero row, or one whose norm is not finite
     (a nan or inf entry, or an overflowing square), raises; ``ids[r]``
-    names row r in the message. A nan norm would otherwise make every
-    fsum distance nan, which cosine_distance_with_norms clips to 0.0."""
-    norms = np.sqrt(column_fsums(np.multiply(M.T, M.T, order="C")))
+    names row r in the message. cosine_distances needs finite, nonzero
+    norms: a zero one divides by zero, and a nan one gives nan distances."""
+    norms = row_norms(M)
     for bad, why in ((norms == 0.0, "zero"), (~np.isfinite(norms), "non-finite")):
         rows = np.flatnonzero(bad)
         if rows.size:
@@ -132,8 +132,8 @@ def _row_norms(M: Array, what: str, ids=None) -> Array:
 
 def _nearest(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:
     """Per row of A, the index of the cosine-nearest row of B, ties to the
-    lowest index: the pick of a scan over j = 0, 1, ... that keeps strict
-    improvements of cosine_distance_with_norms(A[i], B[j], ...), bit for bit.
+    lowest index: the first minimum of row i of cosine_distances(A, a_norms,
+    B, b_norms), bit for bit.
 
     Certificate. Let u = 2^-53, s = a.b and S = sum |a_i b_i| <= |a||b|.
     The exact norms obey |a| <= norm_a / (1-u)^2, so S <= D / (1-u)^5 with
@@ -147,8 +147,9 @@ def _nearest(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:
     distance when d <= 2^25. tol = (d + 11) u also absorbs the rounding
     of row_min + 2 tol (at most 3u). Every exact minimizer then has a
     table entry <= row_min + 2 tol, so the scan over those candidates
-    alone picks the same index. Entries whose norms lie outside the safe
-    range, and every entry when d > 2^25, are always candidates.
+    alone picks the same index: a row with two or more candidates takes the
+    first minimum of their exact distances. Entries whose norms lie outside
+    the safe range, and every entry when d > 2^25, are always candidates.
     """
     unsafe = ~np.logical_and.outer(_in_safe_range(a_norms), _in_safe_range(b_norms))
     with np.errstate(all="ignore"):
@@ -159,11 +160,8 @@ def _nearest(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:
     cand = (table <= table.min(axis=1, keepdims=True) + 2.0 * tol) | unsafe
     picks = np.argmax(cand, axis=1)
     for i in np.flatnonzero(cand.sum(axis=1) > 1):
-        best_d = math.inf
-        for j in np.flatnonzero(cand[i]):
-            dist = cosine_distance_with_norms(A[i], B[j], a_norms[i], b_norms[j])
-            if dist < best_d:
-                picks[i], best_d = j, dist
+        js = np.flatnonzero(cand[i])
+        picks[i] = js[np.argmin(cosine_distances(A[i : i + 1], a_norms[i : i + 1], B[js], b_norms[js])[0])]
     return picks
 
 
@@ -176,10 +174,6 @@ def assign_pseudo_labels(features, centroids) -> Array:
     if C.shape[0] == 0:
         raise InvalidInputError("need at least one centroid")
     return _nearest(V, _row_norms(V, "feature row"), C, _row_norms(C, "centroid"))
-
-
-def _onehot_centroid(V: Array, rows: Array) -> Array:
-    return column_fsums(V[rows]) / rows.size
 
 
 def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> StrongSet:
@@ -202,7 +196,7 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
 
     members = [np.flatnonzero(labels == j) for j in range(k)]
     refined = [j for j in range(k) if members[j].size]
-    C1 = np.stack([_onehot_centroid(V, members[j]) for j in refined])
+    C1 = np.stack([column_fsums(V[members[j]]) / members[j].size for j in refined])
     c1_norms = _row_norms(C1, "refined centroid of class", refined)
     nearest = dict(zip(refined, _nearest(C1, c1_norms, V, v_norms)))
     picks = [nearest[j] if j in nearest else np.argmax(P[:, j]) for j in range(k)]

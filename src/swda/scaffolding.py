@@ -5,11 +5,12 @@ source step and the accuracy check live here too; both trainers use them.
 
 The distance graph is a (N+1) x (N+1) x k tensor of cosine distances
 between per-class centroids, computed once from a source-only network and
-then frozen. Domain slot 0 is always the source. A peer target j helps
-target i on class l when j's class-l centroid is (1) closer to the source
-than i's is, and (2) closer to i than the source is -- i.e. j lies
-between the source and i for that class. Both inequalities are strict;
-ties disqualify.
+then frozen, one exact table per class. Domain slot 0 is always the
+source. A peer target j helps target i on class l when j's class-l
+centroid is (1) closer to the source than i's is, and (2) closer to i
+than the source is -- i.e. j lies between the source and i for that
+class. Both inequalities are strict; ties disqualify. One (peer, class)
+mask per target (_qualifying) holds the rule for the three readers.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ import numpy as np
 
 from .config import STREAM_SOURCE, ExperimentConfig, BatchSampler, stream_rng
 from .datasets import Domain
-from .errors import (
-    DegenerateInputError,
-    InvalidDatasetError,
-    InvalidInputError,
-    NotInitializedError,
-)
+from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError, NotInitializedError
 from .losses import _cross_entropy
-from .mathutils import Array, column_fsums, cosine_distance, serial_blas
+from .mathutils import Array, as_float_array, column_fsums, cosine_distances, row_norms, serial_blas
 from .network import (
     NetworkParams,
     backward,
@@ -38,7 +34,7 @@ from .network import (
     lr_schedule,
     sgd_step,
 )
-from .repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
+from .repsets import StrongEntry, StrongSet, compute_centroids
 
 log = logging.getLogger(__name__)
 
@@ -210,36 +206,46 @@ def centroids_for_domains(params: NetworkParams, domains: list) -> DomainCentroi
 
 
 def build_distance_graph(dc: DomainCentroids) -> DistanceGraph:
-    """Pairwise per-class cosine distances; symmetric, zero diagonal."""
+    """Pairwise per-class cosine distances; symmetric, zero diagonal. Every
+    entry of a centroid that is not valid, or has a zero or non-finite norm
+    (warned once), is invalid."""
     M = len(dc.centroids)
     if M < 2:
         raise InvalidInputError("distance graph needs at least 2 domains")
     k = dc.centroids[0].shape[0]
     if any(c.shape != dc.centroids[0].shape for c in dc.centroids):
         raise InvalidInputError("centroid matrices disagree on shape")
+    C = as_float_array(dc.centroids)  # (M, k, d)
+    norms = row_norms(C.reshape(M * k, -1)).reshape(M, k)
+    usable = np.array(dc.valid, dtype=bool)
+    for why, bad in (("zero", norms == 0.0), ("non-finite", ~np.isfinite(norms))):
+        for a, l in np.argwhere(usable & bad):
+            log.warning("class %d centroid of domain %d has %s norm; marked unusable", l, a, why)
+        usable &= ~bad
     tensor = np.zeros((M, M, k))
-    valid = np.zeros((M, M, k), dtype=bool)
-    for a in range(M):
-        for l in range(k):
-            valid[a, a, l] = dc.valid[a][l]
-    for a in range(M):
-        for b in range(a + 1, M):
-            for l in range(k):
-                if not (dc.valid[a][l] and dc.valid[b][l]):
-                    continue
-                try:
-                    dist = cosine_distance(dc.centroids[a][l], dc.centroids[b][l])
-                except DegenerateInputError:
-                    log.warning("zero-norm centroid for class %d (domains %d,%d)", l, a, b)
-                    continue
-                tensor[a, b, l] = tensor[b, a, l] = dist
-                valid[a, b, l] = valid[b, a, l] = True
-    return DistanceGraph(tensor, valid)
+    for l in range(k):
+        u = np.flatnonzero(usable[:, l])
+        table = cosine_distances(C[u, l], norms[u, l], C[u, l], norms[u, l])
+        np.fill_diagonal(table, 0.0)
+        tensor[u[:, None], u, l] = table
+    return DistanceGraph(tensor, usable[:, None] & usable[None])
+
+
+def _qualifying(G: DistanceGraph, i: int) -> Array:
+    """(M, k) mask: [j, l] says peer_qualifies(G, i, j, l); rows 0 and i are False."""
+    M = G.num_domains
+    if not 1 <= i < M:
+        raise InvalidInputError(f"target index must lie in [1, {M}); got i={i}")
+    T, V = G.tensor, G.valid
+    mask = V[0] & V[0, i] & V[i] & (T[0] < T[0, i]) & (T[i] < T[0, i])
+    mask[[0, i]] = False
+    return mask
 
 
 def peer_qualifies(G: DistanceGraph, i: int, j: int, l: int) -> bool:
     """True iff target j sits between the source and target i for class l:
-    d(S, Tj) < d(S, Ti) and d(Ti, Tj) < d(S, Ti), both strictly."""
+    d(S, Tj) < d(S, Ti) and d(Ti, Tj) < d(S, Ti), both strictly, on usable
+    graph entries."""
     M, k = G.num_domains, G.num_classes
     if not (1 <= i < M and 1 <= j < M):
         raise InvalidInputError(f"target indices must lie in [1, {M}); got i={i}, j={j}")
@@ -247,24 +253,12 @@ def peer_qualifies(G: DistanceGraph, i: int, j: int, l: int) -> bool:
         raise InvalidInputError("a target cannot be its own peer")
     if not 0 <= l < k:
         raise InvalidInputError(f"class {l} outside [0, {k})")
-    if not (G.valid[0, j, l] and G.valid[0, i, l] and G.valid[i, j, l]):
-        log.info("peer check (i=%d, j=%d, l=%d) skipped: unusable graph entry", i, j, l)
-        return False
-    d_si = G.tensor[0, i, l]
-    return bool(G.tensor[0, j, l] < d_si and G.tensor[i, j, l] < d_si)
+    return bool(_qualifying(G, i)[j, l])
 
 
 def qualifying_fraction(G: DistanceGraph, i: int) -> float:
     """Fraction of classes for which at least one peer qualifies for target i."""
-    hits = 0
-    for l in range(G.num_classes):
-        if any(
-            peer_qualifies(G, i, j, l)
-            for j in range(1, G.num_domains)
-            if j != i
-        ):
-            hits += 1
-    return hits / G.num_classes
+    return int(_qualifying(G, i).any(axis=0).sum()) / G.num_classes
 
 
 def peer_donors(G: DistanceGraph, i: int, peers: dict) -> list:
@@ -273,15 +267,11 @@ def peer_donors(G: DistanceGraph, i: int, peers: dict) -> list:
     that qualifies for class l, in slot order, then pool order. peers maps
     graph slot j (>= 1) to that target's PseudoStrongSet; the graph and
     the pools are frozen before part 3, so one call serves a whole run."""
-    donors = []
-    for l in range(G.num_classes):
-        union = []
-        for j in sorted(peers):
-            pool: PseudoStrongSet = peers[j]
-            if j != i and pool.pools[l] and peer_qualifies(G, i, j, l):
-                union.extend((sample, j) for sample in pool.pools[l])
-        donors.append(union)
-    return donors
+    qualifies = _qualifying(G, i)
+    return [
+        [(sample, j) for j in sorted(peers) if qualifies[j, l] for sample in peers[j].pools[l]]
+        for l in range(G.num_classes)
+    ]
 
 
 def replace_with_peers(own_strong: StrongSet, donors: list, rng: np.random.Generator) -> StrongSet:

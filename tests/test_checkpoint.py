@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,40 @@ def test_int_arrays_preserve_dtype(tmp_path):
     loaded = load_arrays(p)["tags"]
     assert loaded.dtype == np.int64
     assert loaded.shape == (2, 2)
+
+
+@pytest.mark.parametrize("token", ["10", "1.5", "1p+0", "-1.8p+0", "+0x1p+0", "0X1p+0"])
+def test_f64_tokens_must_be_float_hex(tmp_path, token):
+    # float.fromhex reads "10" as 16.0 and "1.5" as 1.3125: a hand-edited
+    # decimal must not load as some other number
+    with pytest.raises(ParseError, match=f"f64 token '{re.escape(token)}' is not in float.hex form") as err:
+        load_arrays(_write(tmp_path / "case.txt", f"{HEADER}\nkey a f64 2\n0x1p+0 {token}\n"))
+    assert err.value.line == 3
+
+
+def test_unused_checkpoint_keys_rejected(tmp_path):
+    # dropping the middle of a 2-layer generator leaves a 1-layer network
+    # whose shapes chain; the stray key must not load silently
+    params = init_params(NetworkConfig(3, 2, generator_hidden_dims=(5, 5)), seed=0)
+    arrays = params_to_arrays(params)
+    del arrays["generator.1.weight"], arrays["generator.1.bias"]
+    arrays["extra"] = np.zeros(2)
+    save_arrays(tmp_path / "edited.txt", arrays)
+    with pytest.raises(InvalidInputError, match=r"checkpoint keys \['extra'\] are not part of a network with 1 generator layers"):
+        load_params(tmp_path / "edited.txt")
+    arrays = params_to_arrays(params)
+    del arrays["generator.0.weight"]  # generator.0.bias and generator.1.* are then unused
+    save_arrays(tmp_path / "gap.txt", arrays)
+    with pytest.raises(InvalidInputError, match=r"\['generator.0.bias', 'generator.1.bias', 'generator.1.weight'\]"):
+        load_params(tmp_path / "gap.txt")
+
+
+def test_parse_errors_name_the_file_once(tmp_path):
+    p = _write(tmp_path / "case.txt", f"{HEADER}\nkey a f64 1\nzz\n")
+    with pytest.raises(ParseError) as err:
+        load_arrays(p)
+    assert str(err.value) == f"{p}: line 3: bad f64 token 'zz'"
+    p.write_bytes(f"{HEADER}\n".encode() + b"\xff")
+    with pytest.raises(ParseError) as err:
+        load_arrays(p)
+    assert str(err.value) == f"{p}: line 2: byte 0xff is not UTF-8 text" and err.value.line == 2

@@ -25,6 +25,7 @@ from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, sa
 from swda.losses import LossWeights
 from swda.network import NetworkConfig, init_params
 from swda.pipeline import train_single_target
+from swda.repsets import PseudoStrongSet, pseudo_to_arrays
 
 try:
     import tomllib
@@ -109,6 +110,16 @@ def test_generate_spec_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, doc
     assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and key in errors[0] and "unexpected" not in errors[0]
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("key", ["num_classes", "samples_per_class", "input_dim"])
+def test_generate_spec_too_large_for_an_array_exit_2(tmp_path, capsys, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({key: 10**20, "transforms": [{}]}))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec: {key} is too large") and err.count("\n") == 1
     assert not (tmp_path / "d").exists()
 
 
@@ -464,6 +475,53 @@ def test_fuzzed_config_exits_0_2_or_3_without_traceback(fuzz_dir, doc):
     assert "Traceback" not in err.getvalue()
 
 
+# --- fuzzed spec documents -----------------------------------------------------
+# Sizes are tiny or at least 10**19, never in between, so nothing large is
+# ever allocated: an accepted spec writes a few dozen rows.
+
+SPEC_SIZES = st.one_of(st.integers(-1, 4), st.sampled_from([10**19, 2**64, 10**20, _HUGE]))
+SPEC_NUMBERS = st.one_of(st.floats(-5.0, 5.0), st.floats(), st.sampled_from([1e300, 1e308, -1e308, _HUGE]))
+SPEC_ODD = st.sampled_from(["3", "", True, None, [], {}, 2.5])
+
+
+@st.composite
+def fuzzed_spec(draw):
+    rare = lambda: draw(st.integers(0, 19)) == 13  # noqa: E731
+    k, d = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    doc = {"num_classes": k, "input_dim": d, "samples_per_class": 3, "seed": 0}
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2)):
+        doc[key] = draw(SPEC_ODD if rare() else SPEC_SIZES)
+    transforms = []
+    for _ in range(draw(st.integers(0 if rare() else 1, 3))):
+        t = {}
+        for key in draw(st.lists(st.sampled_from(["rotation_deg", "noise_scale", "translation", "class_skew"]), max_size=4)):
+            if key in ("translation", "class_skew"):
+                size = draw(st.integers(0, 4)) if rare() else {"translation": d, "class_skew": k}[key]
+                t[key] = draw(st.lists(SPEC_NUMBERS, min_size=size, max_size=size))
+            else:
+                t[key] = draw(SPEC_NUMBERS)
+            if rare():
+                t[key] = draw(SPEC_ODD)
+        transforms.append(t)
+    doc["transforms"] = transforms
+    if rare():
+        doc["banana" if draw(st.booleans()) else "transforms"] = draw(SPEC_ODD)
+    return [doc] if rare() else doc  # now and then no JSON object at all
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=fuzzed_spec())
+def test_fuzzed_spec_exits_0_or_2_without_traceback(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("spec_fuzz")
+    (path / "spec.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["generate", "--spec", str(path / "spec.json"), "--out", str(path / "data")])
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
+    shutil.rmtree(path)
+
+
 # --- fuzzed CSV text ------------------------------------------------------------
 # Each example edits the source or the target CSV of a valid 3-class problem
 # cell by cell, then maybe truncates it, adds a BOM, or writes CRLF endings or
@@ -811,8 +869,64 @@ def test_checkpoint_dimension_beyond_int64_exit_2(tmp_path, capsys, tail, messag
     (tmp_path / "ckpt.txt").write_text("\n".join(lines[:-2] + tail) + "\n")
     assert run_distance_graph(tmp_path, tmp_path / "ckpt.txt") == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and re.fullmatch(rf"error: line \d+: {re.escape(message)}", errors[0]), errors
+    prefix = re.escape(f"error: {tmp_path / 'ckpt.txt'}: line ")
+    assert len(errors) == 1 and re.fullmatch(rf"{prefix}\d+: {re.escape(message)}", errors[0]), errors
     assert not (tmp_path / "graph.txt").exists()
+
+
+def test_parse_errors_name_their_file(tmp_path, capsys):
+    # a command reads several files; each parse error says which one, once
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    target = tmp_path / "target.csv"
+    last = target.read_bytes().count(b"\n") + 1
+    target.write_bytes(target.read_bytes() + b"\xff")
+    assert run_train_single(tmp_path, cfg_path) == 2
+    assert capsys.readouterr().err == f"error: {target}: line {last}: byte 0xff is not UTF-8 text\n"
+
+    path = tmp_path / "net.txt"
+    ckpt.save_params(path, init_params(NetworkConfig(input_dim=4, num_classes=3), seed=0))
+    lines = path.read_text().splitlines()
+    lines[2] = "zz " + lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    assert run_distance_graph(tmp_path, path) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 3: bad f64 token 'zz'\n"
+
+    cfg_path.write_text("{not json")
+    assert run_train_single(tmp_path, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: not valid JSON (") and err.count(str(cfg_path)) == 1
+
+
+def test_decimal_checkpoint_token_exit_2(tmp_path, capsys):
+    # float.fromhex would read the decimal 10 as 16.0
+    write_dataset(tmp_path)
+    path = tmp_path / "net.txt"
+    ckpt.save_params(path, init_params(NetworkConfig(input_dim=4, num_classes=3), seed=0))
+    lines = path.read_text().splitlines()
+    lines[2] = " ".join(["10"] + lines[2].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    assert run_distance_graph(tmp_path, path) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 3: f64 token '10' is not in float.hex form\n"
+    assert not (tmp_path / "graph.txt").exists()
+
+
+def test_checkpoint_with_unused_keys_exit_2(tmp_path, capsys):
+    write_dataset(tmp_path)
+    params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(6, 6)), seed=0)
+    arrays = ckpt.params_to_arrays(params)
+    del arrays["generator.1.weight"], arrays["generator.1.bias"]  # what is left still chains
+    arrays["stray"] = np.ones(3)
+    ckpt.save_arrays(tmp_path / "edited.txt", arrays)
+    assert run_distance_graph(tmp_path, tmp_path / "edited.txt") == 2
+    err = capsys.readouterr().err
+    assert "checkpoint keys ['stray'] are not part of a network with 1 generator layers" in err
+    assert err.count("\n") == 1 and not (tmp_path / "graph.txt").exists()
+    # a pseudo strong export is no network checkpoint either
+    pseudo = PseudoStrongSet([[np.zeros(4)], [], [np.ones(4), np.ones(4)]])
+    ckpt.save_arrays(tmp_path / "pseudo_strong.txt", pseudo_to_arrays(pseudo))
+    assert run_distance_graph(tmp_path, tmp_path / "pseudo_strong.txt") == 2
+    assert "checkpoint is missing key" in capsys.readouterr().err
 
 
 # --- fuzzed checkpoints ---------------------------------------------------------

@@ -233,3 +233,39 @@ def test_csv_blank_lines_skipped(tmp_path):
     dom = load_csv(p)
     assert dom.n == 2
     assert dom.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "field, sizes",
+    [
+        ("num_classes", {"num_classes": 10**20}),
+        ("samples_per_class", {"samples_per_class": 10**20}),
+        ("input_dim", {"input_dim": 10**20}),
+        # k * m * d fits, but the (d, d) rotation does not
+        ("input_dim", {"num_classes": 2, "samples_per_class": 1, "input_dim": 2 * 10**9}),
+    ],
+)
+def test_spec_too_large_for_an_array_is_rejected(field, sizes):
+    with pytest.raises(InvalidInputError, match=f"^{field} is too large"):
+        SyntheticSpec(**sizes)
+
+
+def test_csv_parse_error_names_the_file_once(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"label,f0\n0,1.0\n\xff")
+    with pytest.raises(ParseError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: line 3: byte 0xff is not UTF-8 text" and err.value.line == 3
+    p.write_text("label,f0\n0,abc\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: line 2: bad feature value"
+
+
+def test_generate_rejects_a_transform_that_overflows():
+    # 1e308 times a class mean of radius 4 is no float64; it used to be
+    # written to the CSV as inf or nan, which load_csv then rejects
+    far = DomainTransform(noise_scale=0.0, class_skew=(1e308, 1e308))
+    spec = SyntheticSpec(num_classes=2, input_dim=2, samples_per_class=3, transforms=[IDENTITY, far])
+    with pytest.raises(InvalidInputError, match=r"^transforms\[1\] gives non-finite samples"):
+        generate(spec)

@@ -10,11 +10,12 @@ from swda.errors import DegenerateInputError, InvalidInputError
 from swda.mathutils import (
     as_float_array,
     column_fsums,
-    cosine_distance,
-    exact_norm,
+    cosine_distances,
     finite_diff_gradient,
+    row_norms,
     softmax,
 )
+from swda.repsets import assign_pseudo_labels
 
 from oracles import cosine_distance as oracle_cosine
 from oracles import softmax_rows
@@ -55,38 +56,57 @@ def test_softmax_rejects_non_finite():
 
 def test_exact_norm_matches_fsum():
     rng = np.random.default_rng(4)
-    v = rng.normal(size=17)
-    assert exact_norm(v) == math.sqrt(math.fsum(x * x for x in v))
+    M = rng.normal(size=(5, 17))
+    assert row_norms(M).tolist() == [math.sqrt(math.fsum(x * x for x in row)) for row in M.tolist()]
+
+
+def cosine_table(A, B):
+    return cosine_distances(A, row_norms(A), B, row_norms(B))
 
 
 def test_cosine_distance_matches_oracle_bitwise():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        assert cosine_distance(a, b) == oracle_cosine(a.tolist(), b.tolist())
+    for na, nb in ((1, 1), (3, 5), (5, 3), (4, 4)):  # either operand the shorter
+        A, B = rng.normal(size=(na, 6)), rng.normal(size=(nb, 6))
+        table = cosine_table(A, B)
+        assert table.shape == (na, nb)
+        assert table.tolist() == [[oracle_cosine(a, b) for b in B.tolist()] for a in A.tolist()]
 
 
 def test_cosine_distance_bounds_and_extremes():
-    a = np.array([1.0, 0.0])
-    assert abs(cosine_distance(a, a)) < 1e-15
-    assert abs(cosine_distance(a, -a) - 2.0) < 1e-15
-    assert abs(cosine_distance(a, np.array([0.0, 1.0])) - 1.0) < 1e-15
+    a = np.array([[1.0, 0.0]])
+    assert abs(cosine_table(a, a)[0, 0]) < 1e-15
+    assert abs(cosine_table(a, -a)[0, 0] - 2.0) < 1e-15
+    assert abs(cosine_table(a, np.array([[0.0, 1.0]]))[0, 0] - 1.0) < 1e-15
+    assert cosine_table(np.zeros((0, 2)), a).shape == (0, 1)
 
 
 def test_cosine_distance_zero_vector_raises():
-    with pytest.raises(DegenerateInputError):
-        cosine_distance(np.zeros(3), np.ones(3))
+    # a zero norm, or norms whose product underflows to 0: the pairwise
+    # formula divides by zero, which must raise, not warn and return nan
+    for vector in ([0.0, 0.0], [1.0, 0.0]):
+        a = np.array([vector])
+        for a_norm, b_norm in ((0.0, 1.0), (1.0, 0.0), (1e-170, 1e-170)):
+            with pytest.raises(ArithmeticError):
+                cosine_distances(a, np.array([a_norm]), a, np.array([b_norm]))
+
+
+def test_cosine_distances_dot_overflow_raises_like_fsum():
+    with pytest.raises(OverflowError):
+        cosine_distances(np.array([[1e308, 1e308]]), np.ones(1), np.ones((2, 2)), np.ones(2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_cosine_distance_non_finite_raises(bad):
-    # unchecked, the nan distance of [nan, 1] and [1, 0] would clip to 0.0
+    # a nan entry, an inf entry or an overflowing square gives a non-finite
+    # norm, which the distance searches reject: cosine_distances would turn
+    # a nan norm into nan distances
+    assert not math.isfinite(row_norms(np.array([[bad, 1.0]]))[0])
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        cosine_distance(np.array([bad, 1.0]), np.array([1.0, 0.0]))
+        assign_pseudo_labels(np.array([[bad, 1.0]]), np.array([[1.0, 0.0]]))
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        cosine_distance(np.array([1.0, 0.0]), np.array([bad, 1.0]))
+        assign_pseudo_labels(np.array([[1.0, 0.0]]), np.array([[bad, 1.0]]))
 
 
 def test_finite_diff_gradient_quadratic():

@@ -231,13 +231,13 @@ def check_against_oracles(X, V, P, C):
 @pytest.mark.parametrize("kind", TWIN_KINDS)
 def test_near_ties_match_oracles_and_reach_reevaluation(monkeypatch, kind, d):
     calls = []
-    exact = repsets.cosine_distance_with_norms
+    exact = repsets.cosine_distances
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(repsets, "cosine_distance_with_norms", counted)
+    monkeypatch.setattr(repsets, "cosine_distances", counted)
     check_against_oracles(*near_tie_instance(d, d, kind))
     assert calls, "no row had two or more candidates"
 

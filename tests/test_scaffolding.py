@@ -166,6 +166,32 @@ def test_graph_invalid_class_propagates():
     assert G.tensor[0, 1, 1] == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_graph_marks_each_bad_norm_centroid_unusable_with_one_warning(caplog):
+    rng = np.random.default_rng(6)
+    cents = [rng.normal(size=(3, 4)) for _ in range(4)]
+    masks = [np.ones(3, dtype=bool) for _ in range(4)]
+    cents[1][0] = 0.0  # zero norm
+    cents[2][2, 1] = np.inf  # non-finite norm
+    cents[0][1, 0] = 1e200  # an overflowing square: a non-finite norm too
+    cents[3][1], masks[3][1] = 0.0, False  # no probability mass: warned where found
+    with caplog.at_level(logging.WARNING, logger="swda.scaffolding"):
+        G = build_distance_graph(DomainCentroids(cents, masks))
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        "class 0 centroid of domain 1 has zero norm; marked unusable",
+        "class 1 centroid of domain 0 has non-finite norm; marked unusable",
+        "class 2 centroid of domain 2 has non-finite norm; marked unusable",
+    ]
+    usable = np.ones((4, 3), dtype=bool)
+    usable[1, 0] = usable[0, 1] = usable[2, 2] = usable[3, 1] = False
+    assert np.array_equal(G.valid, usable[:, None, :] & usable[None, :, :])
+    assert np.all(G.tensor[~G.valid] == 0.0)
+    for l in range(3):
+        u = np.flatnonzero(usable[:, l])
+        expect = oracle_distance_graph([[cents[a][l].tolist()] for a in u])
+        assert G.tensor[np.ix_(u, u, [l])][..., 0].tolist() == [[row[0] for row in r] for r in expect]
+
+
 def test_graph_requires_two_domains_same_shape():
     one = DomainCentroids([np.zeros((2, 2))], [np.ones(2, dtype=bool)])
     with pytest.raises(InvalidInputError):
