@@ -7,7 +7,8 @@ Format: a header line, then repeated blocks of
 
 where kind is f64 or i64. Floats are written with float.hex so a
 save/load round trip reproduces every 64-bit value exactly. The format
-stores named flat arrays; helpers map NetworkParams to and from it.
+stores named flat arrays. Every key layout lives here: helpers map
+NetworkParams to and from it, and a PseudoStrongSet to it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .datasets import names_its_file, read_utf8
 from .errors import InvalidInputError, ParseError
 from .network import Linear, NetworkParams, ParamTree
+from .repsets import PseudoStrongSet
 
 HEADER = "swda-checkpoint 1"
 _VALUES_PER_LINE = 6
@@ -118,6 +120,14 @@ def params_to_arrays(params: NetworkParams) -> dict:
     out["bottleneck.bias"] = params.bottleneck.bias
     out["classifier"] = params.classifier
     out["tau"] = np.array(params.tau)
+    return out
+
+
+def pseudo_to_arrays(pseudo: PseudoStrongSet) -> dict:
+    out = {"pseudo.k": np.array(len(pseudo.pools), dtype=np.int64)}
+    for j, pool in enumerate(pseudo.pools):
+        if pool:
+            out[f"pseudo.{j}"] = np.stack(pool)
     return out
 
 

@@ -47,7 +47,6 @@ from .pipeline import (
     train_multi_target,
     train_single_target,
 )
-from .repsets import pseudo_to_arrays
 from .scaffolding import (
     build_distance_graph,
     centroids_for_domains,
@@ -67,9 +66,10 @@ _TRANSFORM_KEYS = {f.name for f in fields(DomainTransform)}
 
 @names_its_file
 def _load_json(path) -> dict:
+    text = read_utf8(path)
     try:
-        doc = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer too long to convert, or too deep nesting
         raise ParseError(f"not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -166,7 +166,7 @@ def _write_run_outputs(out_dir: Path, params, metrics, echo: dict, pseudo=None) 
     (out_dir / "loss_curves.csv").write_text(loss_curves_csv(metrics))
     ckpt.save_params(out_dir / "checkpoint.txt", params)
     if pseudo is not None:
-        ckpt.save_arrays(out_dir / "pseudo_strong.txt", pseudo_to_arrays(pseudo))
+        ckpt.save_arrays(out_dir / "pseudo_strong.txt", ckpt.pseudo_to_arrays(pseudo))
 
 
 # --- commands -----------------------------------------------------------------
@@ -318,28 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(fn=cmd_generate)
 
+    run = argparse.ArgumentParser(add_help=False)  # the options both training commands take
+    run.add_argument("--config", required=True, help="flat JSON experiment config")
+    run.add_argument("--source", required=True, help="labeled source CSV")
+    run.add_argument("--out", required=True, help="output directory")
+
     ts = sub.add_parser(
         "train-single",
+        parents=[run],
         help="single-target adaptation",
         epilog=_config_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ts.add_argument("--config", required=True, help="flat JSON experiment config")
-    ts.add_argument("--source", required=True, help="labeled source CSV")
     ts.add_argument("--target", required=True, help="target CSV")
-    ts.add_argument("--out", required=True, help="output directory")
     ts.set_defaults(fn=cmd_train_single)
 
     tm = sub.add_parser(
         "train-multi",
+        parents=[run],
         help="multi-target adaptation with peer scaffolding",
         epilog=_config_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    tm.add_argument("--config", required=True)
-    tm.add_argument("--source", required=True)
-    tm.add_argument("--targets", required=True, nargs="+")
-    tm.add_argument("--out", required=True)
+    tm.add_argument(
+        "--targets", required=True, nargs="+", help="target CSVs; each target's outputs go to a directory named by its file stem"
+    )
     tm.add_argument("--jobs", type=int, default=1, help="parallel per-target trainers")
     tm.set_defaults(fn=cmd_train_multi)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,38 +184,30 @@ def make_between_geometry(spec: SyntheticSpec):
     if len(spec.transforms) != 2:
         raise InvalidInputError("between-geometry spec needs exactly 2 transforms (source, far)")
     src_t, far_t = spec.transforms
-    full = SyntheticSpec(
-        num_classes=spec.num_classes,
-        input_dim=spec.input_dim,
-        samples_per_class=spec.samples_per_class,
-        transforms=[src_t, interpolate_transform(src_t, far_t, 0.5), far_t],
-        seed=spec.seed,
-    )
-    source, mid, far = generate(full)
+    source, mid, far = generate(replace(spec, transforms=[src_t, interpolate_transform(src_t, far_t, 0.5), far_t]))
     mid = Domain("target_mid", mid.samples, mid.labels)
     far = Domain("target_far", far.samples, far.labels)
     return source, mid, far
 
 
+def _standard_spec(seed: int, rotation_deg: float, lead: tuple, noise_scale: float) -> SyntheticSpec:
+    """6 classes, 8 input dims and 120 samples per class: an identity source
+    and one target rotated by rotation_deg, translated by lead padded with
+    zeros, with noise_scale noise and a per-class skew from 0.85 to 1.2."""
+    k, d = 6, 8
+    target = DomainTransform(
+        rotation_deg=rotation_deg,
+        translation=lead + (0.0,) * (d - len(lead)),
+        noise_scale=noise_scale,
+        class_skew=tuple(np.linspace(0.85, 1.2, k)),
+    )
+    return SyntheticSpec(num_classes=k, input_dim=d, samples_per_class=120, transforms=[IDENTITY, target], seed=seed)
+
+
 def standard_shift_spec(seed: int = 0) -> SyntheticSpec:
     """The shifted-blob adaptation task used throughout the test suite:
     rotation 35 degrees, a translation, 1.3x noise, mild per-class skew."""
-    k = 6
-    return SyntheticSpec(
-        num_classes=k,
-        input_dim=8,
-        samples_per_class=120,
-        transforms=[
-            IDENTITY,
-            DomainTransform(
-                rotation_deg=35.0,
-                translation=(2.5, -2.0, 1.5) + (0.0,) * 5,
-                noise_scale=1.3,
-                class_skew=tuple(np.linspace(0.85, 1.2, k)),
-            ),
-        ],
-        seed=seed,
-    )
+    return _standard_spec(seed, 35.0, (2.5, -2.0, 1.5), 1.3)
 
 
 def standard_between_spec(seed: int = 0) -> SyntheticSpec:
@@ -228,22 +220,7 @@ def standard_between_spec(seed: int = 0) -> SyntheticSpec:
     peer scaffolding is built for. The halfway domain adapts easily and
     its pseudo-labeled pool carries the labels across.
     """
-    k = 6
-    return SyntheticSpec(
-        num_classes=k,
-        input_dim=8,
-        samples_per_class=120,
-        transforms=[
-            IDENTITY,
-            DomainTransform(
-                rotation_deg=25.0,
-                translation=(5.0, -4.0, 3.0, 2.0) + (0.0,) * 4,
-                noise_scale=1.2,
-                class_skew=tuple(np.linspace(0.85, 1.2, k)),
-            ),
-        ],
-        seed=seed,
-    )
+    return _standard_spec(seed, 25.0, (5.0, -4.0, 3.0, 2.0), 1.2)
 
 
 # --- text and CSV I/O ----------------------------------------------------------

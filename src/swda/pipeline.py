@@ -235,7 +235,7 @@ def _part1_task(args):
     config, source, target, slot = args
     cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART1, slot))
     _, _, pseudo = _adaptation_run(cfg, source, target, [])
-    return slot, pseudo
+    return pseudo
 
 
 def _part3_task(args):
@@ -281,7 +281,7 @@ def train_multi_target(
         [(config, source, t, slot) for slot, t in enumerate(targets, start=1)],
         jobs,
     )
-    pseudo_sets = dict(part1)
+    pseudo_sets = dict(enumerate(part1, start=1))
 
     cfg_src = replace(config, seed=derive_seed(config.seed, _TAG_PART2))
     source_params = train_source_only(cfg_src, source)

@@ -11,10 +11,14 @@ Three sets drive the semi-supervised signal on the unlabeled target:
 Fusion blends the strong and weak sample of a class with a random convex
 coefficient; selection mirrors the predicted label distribution of the
 current batch so the fused supervision cannot drown out the target data.
-The weak-set pick (_weak_rows, one masked argmax per class) and the
-fusion (_fused, on (m, d) strong and weak row matrices) are unchecked
-kernels: the trainer calls them on arrays it built, and update_weak_set
-and fuse check their arguments and call them.
+The weak set and the pseudo strong pools share one rule, stated once in
+_confident: a sample is confident for the class it predicts when that
+probability exceeds the threshold lam, and a class ranks its confident
+samples best first, ties to the lowest row. The weak-set pick
+(_weak_rows, the best row of each class) and the fusion (_fused, on
+(m, d) strong and weak row matrices) are unchecked kernels: the trainer
+calls them on arrays it built, and update_weak_set and fuse check their
+arguments and call them. The checkpoint module serializes the pools.
 
 Centroids and feature norms are exactly rounded sums over samples, the
 values math.fsum gives and therefore order-independent. They come from
@@ -203,27 +207,23 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
     return StrongSet([StrongEntry(X[i].copy(), domain) for i in picks])
 
 
-def _confident_rows(P: Array, lam: float) -> tuple:
-    """(rows, top, top_p): top[i] is row i's argmax class, ties to the
-    lowest, and top_p[i] its probability; rows lists the rows with top_p
-    above lam by class, then best first, ties to the lowest row."""
-    top = np.argmax(P, axis=1)
+def _confident(P: Array, lam: float) -> Array:
+    """The confident samples of an (n, k) probability matrix, as an (n, k)
+    matrix: entry [i, c] is P[i, c] when c is row i's argmax (ties to the
+    lowest class) and P[i, c] > lam, and -inf everywhere else. The weak set
+    takes each column's best row, the pseudo strong pools its best cap."""
+    top = P.argmax(1)
     top_p = P[np.arange(P.shape[0]), top]
-    rows = np.flatnonzero(top_p > lam)
-    return rows[np.lexsort((-top_p[rows], top[rows]))], top, top_p  # stable: equal keys keep row order
+    return np.where((top[:, None] == np.arange(P.shape[1])) & (top_p > lam)[:, None], top_p[:, None], -np.inf)
 
 
 def _weak_rows(P: Array, lam: float) -> tuple:
     """(best, hit) for a non-empty (n, k) probability matrix: hit[c] says
-    whether some row's argmax is class c with probability above lam, and
-    then best[c] is the first such row of highest probability, the pick of
-    _confident_rows. One masked argmax per class column."""
-    top = P.argmax(1)
-    top_p = P[np.arange(P.shape[0]), top]
-    cols = np.arange(P.shape[1])
-    M = np.where((top[:, None] == cols) & (top_p > lam)[:, None], top_p[:, None], -np.inf)
+    whether column c of _confident(P, lam) has a finite entry, and then
+    best[c] is its first row of highest probability."""
+    M = _confident(P, lam)
     best = M.argmax(0)
-    return best, M[best, cols] > -np.inf
+    return best, M[best, np.arange(P.shape[1])] > -np.inf
 
 
 def update_weak_set(weak: WeakSet, inputs, probs, lam: float) -> WeakSet:
@@ -304,16 +304,8 @@ def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStr
     X, P = _check_pair(inputs, probs, "inputs", "probs")
     if cap < 1:
         raise InvalidInputError("cap must be >= 1")
-    rows, top, _ = _confident_rows(P, lam)
-    ranking = np.split(rows, np.searchsorted(top[rows], np.arange(1, P.shape[1])))
-    return PseudoStrongSet([[X[i].copy() for i in pool[:cap]] for pool in ranking])
+    M = _confident(P, lam)
+    ranked = np.argsort(-M, axis=0, kind="stable")[:cap]  # stable: equal probabilities keep row order
+    counts = (M > -np.inf).sum(0)
+    return PseudoStrongSet([[X[i].copy() for i in ranked[:m, c]] for c, m in enumerate(counts)])
 
-
-# --- checkpoint-format serialization -----------------------------------------
-
-def pseudo_to_arrays(pseudo: PseudoStrongSet) -> dict:
-    out = {"pseudo.k": np.array(len(pseudo.pools), dtype=np.int64)}
-    for j, pool in enumerate(pseudo.pools):
-        if pool:
-            out[f"pseudo.{j}"] = np.stack(pool)
-    return out

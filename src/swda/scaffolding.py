@@ -186,8 +186,6 @@ def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
     fwd = forward(params, samples)
     P, V = fwd.probs, fwd.norm_features
     valid = column_fsums(P) != 0.0
-    for j in np.flatnonzero(~valid):
-        log.warning("class %d has zero probability mass; centroid marked unusable", j)
     # each centroid row depends only on its own probability column
     C = np.zeros((P.shape[1], V.shape[1]))
     C[valid] = compute_centroids(P[:, valid], V)
@@ -200,6 +198,8 @@ def centroids_for_domains(params: NetworkParams, domains: list) -> DomainCentroi
         if dom.n == 0:
             raise InvalidDatasetError(f"domain {dom.name!r} is empty")
         C, valid = compute_domain_centroids(params, dom.samples)
+        for j in np.flatnonzero(~valid):
+            log.warning("domain %r: class %d has zero probability mass; centroid marked unusable", dom.name, j)
         cents.append(C)
         masks.append(valid)
     return DomainCentroids(cents, masks)

@@ -25,7 +25,7 @@ from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, sa
 from swda.losses import LossWeights
 from swda.network import NetworkConfig, init_params
 from swda.pipeline import train_single_target
-from swda.repsets import PseudoStrongSet, pseudo_to_arrays
+from swda.repsets import PseudoStrongSet
 
 try:
     import tomllib
@@ -472,7 +472,7 @@ def test_fuzzed_config_exits_0_2_or_3_without_traceback(fuzz_dir, doc):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = run_train_single(fuzz_dir, cfg_path)
     assert rc in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
 
 
 # --- fuzzed spec documents -----------------------------------------------------
@@ -595,34 +595,54 @@ def _ff_on_line(path, line: int) -> None:
     path.write_bytes(b"\n".join(lines))
 
 
-@pytest.mark.parametrize("which", ["checkpoint", "config", "spec", "metrics"])
-def test_non_utf8_input_exit_2_naming_its_line(tmp_path, capsys, which):
+def _document_argv(tmp_path, which):
+    """(path, argv): a valid document of kind ``which`` and the command that
+    reads it, writing under tmp_path / "out"."""
     write_dataset(tmp_path)
     source, target = str(tmp_path / "source.csv"), str(tmp_path / "target.csv")
-    out = tmp_path / "out"
+    out = str(tmp_path / "out")
     if which == "checkpoint":
         path = tmp_path / "net.txt"
         ckpt.save_params(path, init_params(NetworkConfig(input_dim=4, num_classes=3), seed=0))
-        argv = ["distance-graph", "--checkpoint", str(path), "--domains", source, target, "--out", str(out)]
-    elif which == "config":
+        return path, ["distance-graph", "--checkpoint", str(path), "--domains", source, target, "--out", out]
+    if which == "config":
         path = tmp_path / "config.json"
         path.write_text(json.dumps(SMALL_CONFIG, indent=1))
-        argv = ["train-single", "--config", str(path), "--source", source, "--target", target, "--out", str(out)]
-    elif which == "spec":
+        return path, ["train-single", "--config", str(path), "--source", source, "--target", target, "--out", out]
+    if which == "spec":
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"num_classes": 2, "input_dim": 2, "samples_per_class": 3, "transforms": [{}]}, indent=1))
-        argv = ["generate", "--spec", str(path), "--out", str(out)]
-    else:
-        path = tmp_path / "runs" / "r0" / "metrics.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"config": {}, "final_accuracy": 0.5}, indent=1))
-        argv = ["report", "--runs", str(tmp_path / "runs"), "--out", str(out)]
+        return path, ["generate", "--spec", str(path), "--out", out]
+    path = tmp_path / "runs" / "r0" / "metrics.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"config": {}, "final_accuracy": 0.5}, indent=1))
+    return path, ["report", "--runs", str(tmp_path / "runs"), "--out", out]
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "config", "spec", "metrics"])
+def test_non_utf8_input_exit_2_naming_its_line(tmp_path, capsys, which):
+    path, argv = _document_argv(tmp_path, which)
     _ff_on_line(path, 3)
     assert main(argv) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].endswith("line 3: byte 0xff is not UTF-8 text"), err
-    assert "unexpected" not in err and not out.exists()
+    assert "unexpected" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["config", "spec", "metrics"])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"seed": ' + "7" * 5000 + "}"],
+    ids=["nested-beyond-recursion-limit", "integer-beyond-digit-limit"],
+)
+def test_json_beyond_parser_limits_exit_2_naming_its_file(tmp_path, capsys, which, text):
+    path, argv = _document_argv(tmp_path, which)
+    path.write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1, err
+    assert "unexpected" not in err and not (tmp_path / "out").exists()
 
 
 def test_unexpected_exception_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
@@ -924,7 +944,7 @@ def test_checkpoint_with_unused_keys_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and not (tmp_path / "graph.txt").exists()
     # a pseudo strong export is no network checkpoint either
     pseudo = PseudoStrongSet([[np.zeros(4)], [], [np.ones(4), np.ones(4)]])
-    ckpt.save_arrays(tmp_path / "pseudo_strong.txt", pseudo_to_arrays(pseudo))
+    ckpt.save_arrays(tmp_path / "pseudo_strong.txt", ckpt.pseudo_to_arrays(pseudo))
     assert run_distance_graph(tmp_path, tmp_path / "pseudo_strong.txt") == 2
     assert "checkpoint is missing key" in capsys.readouterr().err
 
@@ -1100,6 +1120,42 @@ def test_report_rejects_malformed_metrics_exit_2(tmp_path, capsys, body, key):
     err = capsys.readouterr().err
     assert f"error: {run / 'metrics.json'}: {key} must be " in err and "unexpected" not in err
     assert not out.exists()
+
+
+# --- fuzzed metrics.json text ---------------------------------------------------
+# Each example assembles one metrics.json from raw JSON fragments: values of
+# every type, integers past the int-to-string digit limit and nesting past the
+# recursion limit; now and then the document is no object, or is cut short.
+
+METRICS_VALUES = st.sampled_from(
+    ["0.5", "0", "1", "-0.0", "1.5", "1e400", "-1e400", "NaN", "Infinity", "null", "true", '"t"', '""', "[]", "{}"]
+    + ["[0.5]", '{"target": "t"}', "7" * 4000, "7" * 5000, "0." + "7" * 5000]
+    + ["[" * 100_000 + "]" * 100_000, '{"a": ' * 50_000 + "1" + "}" * 50_000]
+)
+
+
+@st.composite
+def fuzzed_metrics(draw) -> str:
+    rare = lambda: draw(st.integers(0, 9)) == 7  # noqa: E731
+    config = '{"target": %s}' % draw(METRICS_VALUES) if draw(st.booleans()) else draw(METRICS_VALUES)
+    fields = {"config": config, "final_accuracy": draw(METRICS_VALUES)}
+    keys = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+    text = draw(METRICS_VALUES) if rare() else "{" + ", ".join(f'"{k}": {fields[k]}' for k in keys) + "}"
+    return text[: draw(st.integers(0, len(text)))] if rare() else text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=fuzzed_metrics())
+def test_fuzzed_metrics_exits_0_or_2_without_traceback(tmp_path_factory, text):
+    runs = tmp_path_factory.mktemp("metrics_fuzz")
+    (runs / "r0").mkdir()
+    (runs / "r0" / "metrics.json").write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["report", "--runs", str(runs), "--out", str(runs / "summary.txt")])
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
+    shutil.rmtree(runs)
 
 
 def test_report_scatter_svg(tmp_path):
@@ -1325,6 +1381,29 @@ def test_train_multi_repeated_target_name_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "repeated target names ['target']" in err and "file stem" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [
+        ("train-single", ["--target TARGET target CSV"]),
+        (
+            "train-multi",
+            [
+                "--targets TARGETS [TARGETS ...] target CSVs; each target's outputs go to a directory named by its file stem",
+                "--jobs JOBS parallel per-target trainers",
+            ],
+        ),
+    ],
+    ids=["train-single", "train-multi"],
+)
+def test_training_commands_document_every_option(capsys, command, own):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    shared = ["--config CONFIG flat JSON experiment config", "--source SOURCE labeled source CSV", "--out OUT output directory"]
+    assert [line for line in shared + own if line not in text] == []
 
 
 def _assert_full_help(command, env=None):

@@ -7,7 +7,7 @@ from oracles import assign_labels as oracle_assign_labels
 from oracles import centroids as oracle_centroids
 from oracles import strong_choices as oracle_strong_choices
 from swda import repsets
-from swda.checkpoint import load_arrays, save_arrays
+from swda.checkpoint import load_arrays, pseudo_to_arrays, save_arrays
 from swda.errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
 from swda.mathutils import softmax
 from swda.repsets import (
@@ -22,7 +22,6 @@ from swda.repsets import (
     empty_weak_set,
     fuse,
     harvest_pseudo_strong,
-    pseudo_to_arrays,
     select_sw_batch,
     update_strong_set,
     update_weak_set,
@@ -504,12 +503,8 @@ def test_weak_set_and_harvest_share_one_ranking(seed, n, k, lam, cap):
 
 def former_weak_picks(P, lam):
     """{class: row} of update_weak_set's former rule: the first row of each
-    class in _confident_rows' ranking."""
-    rows, top, _ = repsets._confident_rows(P, lam)
-    picks = {}
-    for i in rows.tolist():
-        picks.setdefault(int(top[i]), i)
-    return picks
+    class in plain_ranking."""
+    return {j: rows[0] for j, rows in enumerate(plain_ranking(P, lam)) if rows}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -519,7 +514,7 @@ def former_weak_picks(P, lam):
     lam=st.sampled_from([0.25, 0.5]),
     data=st.data(),
 )
-def test_masked_argmax_weak_pick_matches_confident_rows(n, k, lam, data):
+def test_masked_argmax_weak_pick_matches_plain_ranking(n, k, lam, data):
     # a handful of values: tied top probabilities, and p == lam, which the
     # strict threshold excludes
     row = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=k, max_size=k)

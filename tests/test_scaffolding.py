@@ -10,7 +10,7 @@ from swda import scaffolding
 from swda.config import ExperimentConfig
 from swda.datasets import Domain, generate, standard_shift_spec
 from swda.errors import InvalidDatasetError, InvalidInputError, NotInitializedError
-from swda.network import NetworkConfig, forward, init_params
+from swda.network import Linear, NetworkConfig, ParamTree, forward, init_params
 from swda.pipeline import train_single_target
 from swda.repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
 from swda.scaffolding import (
@@ -133,6 +133,20 @@ def test_centroids_for_domains_rejects_empty():
     params = init_params(NET, 0)
     with pytest.raises(InvalidDatasetError):
         centroids_for_domains(params, [Domain("empty", np.zeros((0, 4)))])
+
+
+def test_zero_mass_warning_names_its_domain(caplog):
+    # class 2 scores -100 * tau * cos(feature, e0): beyond exp's underflow for
+    # rows along +e0, moderate for rows nearly orthogonal to it
+    params = ParamTree([], Linear(np.eye(2), np.zeros(2)), np.array([[1.0, 0.0], [0.0, 1.0], [-100.0, 0.0]]), 20.0)
+    lit = Domain("lit", np.array([[-0.01, 1.0], [0.01, -1.0]]))
+    dark = Domain("dark", np.array([[1.0, 0.5], [2.0, -1.0]]))
+    with caplog.at_level(logging.WARNING, logger="swda.scaffolding"):
+        dc = centroids_for_domains(params, [lit, dark])
+    assert [v.tolist() for v in dc.valid] == [[True, True, True], [True, True, False]]
+    assert [r.getMessage() for r in caplog.records] == [
+        "domain 'dark': class 2 has zero probability mass; centroid marked unusable"
+    ]
 
 
 def test_build_distance_graph_matches_oracle_bitwise():
