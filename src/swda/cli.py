@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import MISSING, fields
@@ -260,7 +261,12 @@ def cmd_report(args) -> int:
         params = ckpt.load_params(args.scatter_checkpoint)
         if params.bottleneck.weight.shape[0] != 2:
             raise ConfigError("feature scatter requires a 2-dimensional bottleneck")
-        fwd = forward(params, load_csv(args.scatter_domain).samples)
+        domain = load_csv(args.scatter_domain)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                fwd = forward(params, domain.samples)
+        except FloatingPointError as exc:
+            raise DegenerateInputError(f"domain {domain.name!r}: {exc}") from exc
         svg = _scatter_svg(fwd.norm_features, np.argmax(fwd.probs, axis=1))
 
     lines = ["task mean_final_accuracy num_runs"]
@@ -304,6 +310,18 @@ def _scatter_svg(points: np.ndarray, labels: np.ndarray, size: int = 480) -> str
 
 # --- entry point --------------------------------------------------------------
 
+def _path(text: str) -> str:
+    """argparse type of every file and directory option: a name the file
+    system can take, so argparse rejects any other with exit 2."""
+    try:
+        raw = os.fsencode(text)
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} cannot be encoded as a file name")
+    if b"\0" in raw:
+        raise argparse.ArgumentTypeError(f"{text!r} contains a NUL byte")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swda",
@@ -314,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesize multi-domain CSV datasets")
-    g.add_argument("--spec", required=True, help="JSON dataset spec file")
-    g.add_argument("--out", required=True, help="output directory")
+    g.add_argument("--spec", required=True, type=_path, help="JSON dataset spec file")
+    g.add_argument("--out", required=True, type=_path, help="output directory")
     g.set_defaults(fn=cmd_generate)
 
     run = argparse.ArgumentParser(add_help=False)  # the options both training commands take
-    run.add_argument("--config", required=True, help="flat JSON experiment config")
-    run.add_argument("--source", required=True, help="labeled source CSV")
-    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--config", required=True, type=_path, help="flat JSON experiment config")
+    run.add_argument("--source", required=True, type=_path, help="labeled source CSV")
+    run.add_argument("--out", required=True, type=_path, help="output directory")
 
     ts = sub.add_parser(
         "train-single",
@@ -330,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_config_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ts.add_argument("--target", required=True, help="target CSV")
+    ts.add_argument("--target", required=True, type=_path, help="target CSV")
     ts.set_defaults(fn=cmd_train_single)
 
     tm = sub.add_parser(
@@ -341,23 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     tm.add_argument(
-        "--targets", required=True, nargs="+", help="target CSVs; each target's outputs go to a directory named by its file stem"
+        "--targets", required=True, type=_path, nargs="+", help="target CSVs; each target's outputs go to a directory named by its file stem"
     )
     tm.add_argument("--jobs", type=int, default=1, help="parallel per-target trainers")
     tm.set_defaults(fn=cmd_train_multi)
 
     dg = sub.add_parser("distance-graph", help="class-wise distance graph report")
-    dg.add_argument("--checkpoint", required=True, help="network checkpoint (e.g. source-only)")
-    dg.add_argument("--domains", required=True, nargs="+", help="domain CSVs, source first")
-    dg.add_argument("--out", required=True, help="report file")
+    dg.add_argument("--checkpoint", required=True, type=_path, help="network checkpoint (e.g. source-only)")
+    dg.add_argument("--domains", required=True, type=_path, nargs="+", help="domain CSVs, source first")
+    dg.add_argument("--out", required=True, type=_path, help="report file")
     dg.set_defaults(fn=cmd_distance_graph)
 
     rp = sub.add_parser("report", help="aggregate run metrics")
-    rp.add_argument("--runs", required=True, help="directory containing run outputs")
-    rp.add_argument("--out", required=True, help="aggregate table file")
-    rp.add_argument("--scatter-checkpoint", help="optional checkpoint for a 2-d feature scatter")
-    rp.add_argument("--scatter-domain", help="domain CSV to embed in the scatter")
-    rp.add_argument("--scatter-out", help="output SVG path")
+    rp.add_argument("--runs", required=True, type=_path, help="directory containing run outputs")
+    rp.add_argument("--out", required=True, type=_path, help="aggregate table file")
+    rp.add_argument("--scatter-checkpoint", type=_path, help="optional checkpoint for a 2-d feature scatter")
+    rp.add_argument("--scatter-domain", type=_path, help="domain CSV to embed in the scatter")
+    rp.add_argument("--scatter-out", type=_path, help="output SVG path")
     rp.set_defaults(fn=cmd_report)
     return parser
 

@@ -51,13 +51,15 @@ from .repsets import _fused, _weak_rows, harvest_pseudo_strong, update_strong_se
 from .scaffolding import (
     ClampCount,
     DistanceGraph,
+    _donors,
     accuracy,
     build_distance_graph,
     centroids_for_domains,
     check_label_range,
     check_source_classes,
+    donor_slots,
     evaluate,
-    peer_donors,
+    peer_masks,
     replace_with_peers,
     source_step,
     train_source_only,
@@ -227,7 +229,7 @@ def train_single_target(config: ExperimentConfig, source: Domain, target: Domain
 class MultiTargetResult:
     per_target: list  # [(NetworkParams, RunMetrics)] in input target order
     graph: DistanceGraph
-    pseudo_sets: dict  # slot -> PseudoStrongSet from part 1
+    pseudo_sets: dict  # donor slot -> PseudoStrongSet from part 1; other targets run no part 1
     source_params: NetworkParams
 
 
@@ -260,39 +262,39 @@ def train_multi_target(
     targets: list,
     jobs: int = 1,
 ) -> MultiTargetResult:
-    """Three-part multi-target adaptation.
+    """Three-part multi-target adaptation, run in the order 2, 1, 3.
 
-    Part 1 runs single-target adaptation per target and harvests its
-    pseudo strong set. Part 2 trains a source-only network and builds the
-    frozen class-wise distance graph over source + targets. Part 3
-    re-trains each target from a fresh initialization, replacing strong
-    entries with samples from its qualifying peers' pseudo pools; which
-    peers donate for each class is fixed once, before part 3 starts.
-    To isolate what peer scaffolding adds, compare each part-3 run with
-    the single-target run seeded by part3_seed.
+    Part 2 trains a source-only network and builds the frozen class-wise
+    distance graph over source + targets, which fixes every target's
+    (peer, class) mask. Part 1 runs single-target adaptation, and harvests
+    its pseudo strong set, only for the donor slots: the targets that
+    qualify as a peer of some target for some class. No part-3 run reads
+    any other target's pool, so a single target runs no part 1 at all.
+    Part 3 re-trains each target from a fresh initialization, replacing
+    strong entries with samples from its qualifying peers' pseudo pools;
+    which peers donate for each class is fixed once, before part 3 starts.
+    Every run draws from its own derived seed, so skipping a part-1 run
+    changes no other output. To isolate what peer scaffolding adds,
+    compare each part-3 run with the single-target run seeded by
+    part3_seed.
     """
     if not targets:
         raise InvalidInputError("need at least one target domain")
     _check_domains(config, source, targets)
     _warn_if_no_strong_set(config)
 
-    part1 = _run_tasks(
-        _part1_task,
-        [(config, source, t, slot) for slot, t in enumerate(targets, start=1)],
-        jobs,
-    )
-    pseudo_sets = dict(enumerate(part1, start=1))
-
     cfg_src = replace(config, seed=derive_seed(config.seed, _TAG_PART2))
     source_params = train_source_only(cfg_src, source)
     graph = build_distance_graph(centroids_for_domains(source_params, [source] + list(targets)))
+    masks = peer_masks(graph)
+
+    donors = donor_slots(masks)
+    part1 = _run_tasks(_part1_task, [(config, source, targets[j - 1], j) for j in donors], jobs)
+    pseudo_sets = dict(zip(donors, part1))
 
     per_target = _run_tasks(
         _part3_task,
-        [
-            (config, source, t, slot, peer_donors(graph, slot, pseudo_sets))
-            for slot, t in enumerate(targets, start=1)
-        ],
+        [(config, source, t, slot, _donors(masks[slot], pseudo_sets)) for slot, t in enumerate(targets, start=1)],
         jobs,
     )
     return MultiTargetResult(per_target, graph, pseudo_sets, source_params)

@@ -10,7 +10,8 @@ source. A peer target j helps target i on class l when j's class-l
 centroid is (1) closer to the source than i's is, and (2) closer to i
 than the source is -- i.e. j lies between the source and i for that
 class. Both inequalities are strict; ties disqualify. One (peer, class)
-mask per target (_qualifying) holds the rule for the three readers.
+mask per target (_qualifying) holds the rule for all its readers; a
+target that qualifies for no one is no donor, and part 1 skips it.
 """
 
 from __future__ import annotations
@@ -193,11 +194,17 @@ def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
 
 
 def centroids_for_domains(params: NetworkParams, domains: list) -> DomainCentroids:
+    """Each domain's compute_domain_centroids; features that overflow the
+    network are a DegenerateInputError naming the domain, as in training."""
     cents, masks = [], []
     for dom in domains:
         if dom.n == 0:
             raise InvalidDatasetError(f"domain {dom.name!r} is empty")
-        C, valid = compute_domain_centroids(params, dom.samples)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                C, valid = compute_domain_centroids(params, dom.samples)
+        except FloatingPointError as exc:
+            raise DegenerateInputError(f"domain {dom.name!r}: {exc}") from exc
         for j in np.flatnonzero(~valid):
             log.warning("domain %r: class %d has zero probability mass; centroid marked unusable", dom.name, j)
         cents.append(C)
@@ -261,17 +268,37 @@ def qualifying_fraction(G: DistanceGraph, i: int) -> float:
     return int(_qualifying(G, i).any(axis=0).sum()) / G.num_classes
 
 
+def peer_masks(G: DistanceGraph) -> Array:
+    """(M, M, k) stack of every target's mask: [i, j, l] says target j
+    qualifies as a peer of target i for class l; row 0, the source, is all
+    False. One _qualifying call per target."""
+    masks = np.zeros((G.num_domains, G.num_domains, G.num_classes), dtype=bool)
+    for i in range(1, G.num_domains):
+        masks[i] = _qualifying(G, i)
+    return masks
+
+
+def donor_slots(masks: Array) -> list:
+    """The slots j, ascending, that qualify as a peer of some target for
+    some class under peer_masks: the only targets whose pools part 3 reads."""
+    return np.flatnonzero(masks.any(axis=(0, 2))).tolist()
+
+
+def _donors(qualifies: Array, peers: dict) -> list:
+    """peer_donors for a target whose (peer, class) mask is qualifies."""
+    return [
+        [(sample, j) for j in sorted(peers) if qualifies[j, l] for sample in peers[j].pools[l]]
+        for l in range(qualifies.shape[1])
+    ]
+
+
 def peer_donors(G: DistanceGraph, i: int, peers: dict) -> list:
     """Per class l, the (sample, j) pairs that may replace target i's
     class-l strong entry: every class-l pool sample of every peer j != i
     that qualifies for class l, in slot order, then pool order. peers maps
     graph slot j (>= 1) to that target's PseudoStrongSet; the graph and
     the pools are frozen before part 3, so one call serves a whole run."""
-    qualifies = _qualifying(G, i)
-    return [
-        [(sample, j) for j in sorted(peers) if qualifies[j, l] for sample in peers[j].pools[l]]
-        for l in range(G.num_classes)
-    ]
+    return _donors(_qualifying(G, i), peers)
 
 
 def replace_with_peers(own_strong: StrongSet, donors: list, rng: np.random.Generator) -> StrongSet:

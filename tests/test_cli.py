@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1294,6 +1295,33 @@ def test_train_multi_end_to_end(tmp_path):
     assert "target2" in report
 
 
+@pytest.mark.parametrize("command", ["train-multi", "distance-graph", "report"])
+def test_features_overflowing_the_network_exit_3_naming_the_domain(tmp_path, capsys, command):
+    # finite features whose first layer overflows are a numerical failure
+    # wherever a command forwards them, as they are in training: train-multi
+    # meets them in the distance graph, before any adaptation run
+    _, target = write_dataset(tmp_path)
+    save_csv(replace(target, samples=target.samples / np.abs(target.samples).max() * 1.7e308), tmp_path / "huge.csv")
+    net = tmp_path / "net.txt"
+    ckpt.save_params(net, init_params(NetworkConfig(input_dim=4, num_classes=3, bottleneck_dim=2), seed=0))
+    cfg_path, _ = write_config(tmp_path)
+    if command == "report":
+        run_quick_training(tmp_path, "runs/r0")
+    source, huge, out = str(tmp_path / "source.csv"), str(tmp_path / "huge.csv"), tmp_path / "out"
+    argv = {
+        "train-multi": ["--config", str(cfg_path), "--source", source, "--targets", str(tmp_path / "target.csv"), huge],
+        "distance-graph": ["--checkpoint", str(net), "--domains", source, huge],
+        "report": [
+            "--runs", str(tmp_path / "runs"), "--scatter-checkpoint", str(net), "--scatter-domain", huge,
+            "--scatter-out", str(tmp_path / "scatter.svg"),
+        ],
+    }[command]
+    assert main([command, *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain 'huge': overflow encountered") and err.count("\n") == 1, err
+    assert not out.exists() and not (tmp_path / "scatter.svg").exists()
+
+
 def test_train_multi_jobs_below_one_exit_2(tmp_path, capsys):
     write_dataset(tmp_path)
     cfg_path, _ = write_config(tmp_path)
@@ -1427,3 +1455,184 @@ def test_console_script_help():
     script = shutil.which("swda")
     if script is not None:
         _assert_full_help([script, "--help"])
+
+
+def _exit_code(argv) -> tuple:
+    """(exit code, stderr) of main(argv) in-process; argparse's own exits
+    count as exit codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def assert_contract(rc, err) -> None:
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err and "unexpected" not in err, err
+
+
+# --- fuzzed report --scatter-* sets ----------------------------------------------
+# Each example gives report a valid runs directory and any subset of the three
+# scatter options, each naming a valid, damaged, mismatched, missing or odd file.
+
+@pytest.fixture(scope="module")
+def scatter_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scatter_fuzz")
+    write_dataset(path)
+    (path / "runs" / "r0").mkdir(parents=True)
+    (path / "runs" / "r0" / "metrics.json").write_text('{"config": {}, "final_accuracy": 0.5}')
+    for name, bottleneck in (("flat", 2), ("deep", 8)):
+        params = init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(3,), bottleneck_dim=bottleneck), seed=0)
+        ckpt.save_params(path / f"{name}.txt", params)
+    source = load_csv(path / "source.csv")
+    save_csv(replace(source, samples=source.samples[:, :3]), path / "narrow.csv")
+    save_csv(replace(source, samples=source.samples / np.abs(source.samples).max() * 1.7e308), path / "huge.csv")
+    return path
+
+
+SCATTER_ODD = st.sampled_from(["missing", "dir", "", "empty", "nul"])
+
+
+def _odd_path(case, kind: str) -> str:
+    return {
+        "missing": str(case / "no" / "such"),
+        "dir": str(case),
+        "": "",
+        "empty": str(case / "empty.txt"),
+        "nul": str(case / "a\x00b"),
+    }[kind]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_scatter_options_exit_0_2_or_3_without_traceback(scatter_fuzz_dir, data):
+    d = scatter_fuzz_dir
+    case = d / "case"
+    shutil.rmtree(case, ignore_errors=True)
+    case.mkdir()
+    (case / "empty.txt").write_text("")
+    choice = {  # mostly valid, so that most examples reach the network
+        "checkpoint": ["flat"] * 6 + ["deep", "fuzzed", "odd", "odd"],
+        "domain": ["target"] * 5 + ["narrow", "huge", "huge", "fuzzed", "fuzzed", "odd", "odd"],
+        "out": ["fresh"] * 6 + ["odd"],
+    }
+    argv = ["report", "--runs", str(d / "runs"), "--out", str(case / "summary.txt")]
+    for option, kinds in choice.items():
+        if data.draw(st.integers(0, 9)) == 0:
+            continue  # an incomplete set
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "odd":
+            kind = data.draw(SCATTER_ODD)
+        if kind == "fuzzed" and option == "checkpoint":
+            value = case / "ckpt.txt"
+            value.write_bytes(data.draw(fuzzed_checkpoint((d / "flat.txt").read_text())))
+        elif kind == "fuzzed":
+            value = case / "domain.csv"
+            value.write_bytes(data.draw(fuzzed_csv((d / "target.csv").read_text())))
+        elif kind in ("flat", "deep"):
+            value = d / f"{kind}.txt"
+        elif kind in ("target", "narrow", "huge"):
+            value = d / f"{kind}.csv"
+        elif kind == "fresh":
+            value = case / "scatter.svg"
+        else:
+            value = _odd_path(case, kind)
+        argv += [f"--scatter-{option}", str(value)]
+    assert_contract(*_exit_code(argv))
+
+
+# --- fuzzed argv -----------------------------------------------------------------
+# Each example starts from a valid command line of one subcommand (or none) and
+# edits it token by token: options dropped, repeated, borrowed from another
+# subcommand or given odd values, stray tokens, help flags. Every path is one
+# name relative to the working directory, a fresh copy of the inputs for each
+# example, so no example writes outside it or changes another's inputs.
+
+ARGV_VALID = {
+    "generate": [["--spec", "spec.json"], ["--out", "data"]],
+    "train-single": [["--config", "config.json"], ["--source", "source.csv"], ["--target", "target.csv"], ["--out", "run"]],
+    "train-multi": [
+        ["--config", "config.json"],
+        ["--source", "source.csv"],
+        ["--targets", "target.csv", "mid.csv"],
+        ["--out", "multi"],
+        ["--jobs", "1"],
+    ],
+    "distance-graph": [["--checkpoint", "net.txt"], ["--domains", "source.csv", "target.csv"], ["--out", "graph.txt"]],
+    "report": [["--runs", "runs"], ["--out", "summary.txt"]],
+}
+ARGV_OPTIONS = sorted({pair[0] for pairs in ARGV_VALID.values() for pair in pairs}) + [
+    "--scatter-checkpoint",
+    "--scatter-domain",
+    "--scatter-out",
+    "--help",
+    "-h",
+    "--",
+    "--targ",
+    "--bogus",
+]
+ARGV_VALUES = st.one_of(
+    st.sampled_from(["source.csv", "target.csv", "mid.csv", "config.json", "spec.json", "net.txt", "runs", "manifest"]),
+    st.sampled_from(["", "-", "-1", "0", "2", "64", "1.5", "x", "1_0", str(2**63), "9" * 5000, "a\x00b", "\x00"]),
+    st.sampled_from(["missing.csv", "\ufeff", "été.csv", "\ud800", "\udcff", " ", "--jobs=2", "-h"]),
+    st.text(st.characters(blacklist_characters="/.", blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def fuzzed_argv(draw) -> list:
+    command = draw(st.sampled_from(sorted(ARGV_VALID) + ["", "bogus"]))
+    pairs = [list(pair) for pair in ARGV_VALID.get(command, [])]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "value", "value", "option", "repeat", "stray"]))
+        if op in ("drop", "value", "repeat") and not pairs:
+            continue
+        i = draw(st.integers(0, max(len(pairs) - 1, 0)))
+        if op == "drop":
+            del pairs[i]
+        elif op == "value":
+            pairs[i][draw(st.integers(1, len(pairs[i]) - 1)) if len(pairs[i]) > 1 else 0] = draw(ARGV_VALUES)
+        elif op == "repeat":
+            pairs.insert(i, list(pairs[i]))
+        elif op == "option":
+            pairs.insert(i, [draw(st.sampled_from(ARGV_OPTIONS))] + draw(st.lists(ARGV_VALUES, max_size=2)))
+        else:
+            pairs.insert(i, [draw(ARGV_VALUES)])
+    return ([command] if command else []) + [token for pair in pairs for token in pair]
+
+
+@pytest.fixture(scope="module")
+def argv_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv_fuzz")
+    spec = SyntheticSpec(
+        num_classes=3,
+        input_dim=4,
+        samples_per_class=10,
+        transforms=[DomainTransform(), DomainTransform(rotation_deg=15.0), DomainTransform(rotation_deg=30.0)],
+        seed=1,
+    )
+    for domain, name in zip(generate(spec), ("source", "mid", "target")):
+        save_csv(domain, path / f"{name}.csv")
+    config = {**SMALL_CONFIG, "max_iterations": 4, "strong_refresh_period": 2, "accuracy_eval_period": 2}
+    (path / "config.json").write_text(json.dumps(config))
+    (path / "spec.json").write_text(json.dumps({"num_classes": 2, "input_dim": 2, "samples_per_class": 3, "transforms": [{}]}))
+    ckpt.save_params(path / "net.txt", init_params(NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(3,)), seed=0))
+    (path / "runs" / "r0").mkdir(parents=True)
+    (path / "runs" / "r0" / "metrics.json").write_text('{"config": {}, "final_accuracy": 0.5}')
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_0_2_or_3_without_traceback(argv_fuzz_dir, argv):
+    work, cwd = argv_fuzz_dir.with_name(argv_fuzz_dir.name + "_work"), os.getcwd()
+    shutil.copytree(argv_fuzz_dir, work)
+    os.chdir(work)
+    try:
+        assert_contract(*_exit_code(argv))
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work)

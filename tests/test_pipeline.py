@@ -22,7 +22,7 @@ from swda.pipeline import (
     train_multi_target,
     train_single_target,
 )
-from swda.scaffolding import peer_donors, train_source_only
+from swda.scaffolding import donor_slots, peer_donors, peer_masks, train_source_only
 
 
 def tiny_problem(seed: int = 0, shift: bool = True):
@@ -161,7 +161,7 @@ def test_multi_target_structure():
     result = train_multi_target(tiny_config(), source, [t1, t2])
     assert len(result.per_target) == 2
     assert result.graph.tensor.shape == (3, 3, 3)
-    assert sorted(result.pseudo_sets) == [1, 2]
+    assert sorted(result.pseudo_sets) == donor_slots(peer_masks(result.graph))  # part 1 runs for donors only
     assert np.allclose(result.graph.tensor, np.swapaxes(result.graph.tensor, 0, 1), equal_nan=True)
 
 
@@ -239,8 +239,8 @@ def test_peer_qualification_runs_once_per_part3_run(monkeypatch):
 
 
 def test_refresh_period_warning_logged_once_per_multi_target_call(caplog):
-    # parts 1 and 3 run one trainer per target, but the config is the same
-    # for all of them, so the warning comes once
+    # part 3 runs one trainer per target and part 1 one per donor, but the
+    # config is the same for all of them, so the warning comes once
     spec = SyntheticSpec(
         num_classes=3,
         input_dim=4,
@@ -272,6 +272,72 @@ def source_and_two_targets():
         seed=1,
     )
     return generate(spec)
+
+
+def _spy_part1(monkeypatch) -> list:
+    slots = []
+    real = pipeline._part1_task
+
+    def spy(args):
+        slots.append(args[3])
+        return real(args)
+
+    monkeypatch.setattr(pipeline, "_part1_task", spy)
+    return slots
+
+
+def test_part1_runs_only_for_donor_slots(monkeypatch):
+    # on the two-target problem only the mid target (slot 1) is anyone's
+    # peer, and a single target has no peers, so it trains no part 1 at all
+    slots = _spy_part1(monkeypatch)
+    source, t1, t2 = source_and_two_targets()
+    train_multi_target(tiny_config(max_iterations=80), source, [t1, t2], jobs=1)
+    assert slots == [1]
+    slots.clear()
+    source, target = tiny_problem()
+    result = train_multi_target(tiny_config(), source, [target], jobs=1)
+    assert slots == [] and result.pseudo_sets == {}
+
+
+def test_pseudo_sets_hold_the_donor_slots_parts():
+    # each donor's pool is the harvest of its own part-1 run, which draws
+    # from a seed derived from its slot alone
+    source, t1, t2 = source_and_two_targets()
+    cfg = tiny_config(max_iterations=80)
+    result = train_multi_target(cfg, source, [t1, t2], jobs=2)
+    assert sorted(result.pseudo_sets) == donor_slots(peer_masks(result.graph)) == [1]
+    got = result.pseudo_sets[1]
+    want = pipeline._part1_task((cfg, source, t1, 1))
+    assert len(got.pools) == len(want.pools)
+    for a, b in zip(got.pools, want.pools):
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_skipping_part1_leaves_every_part3_output_unchanged(monkeypatch):
+    # slot 3 is rotated away from the other two: it has no peers and is no
+    # one's peer, so its part-1 run is skipped; every part-3 output must
+    # still equal the one built from the pools of all three part-1 runs
+    spec = SyntheticSpec(
+        num_classes=3,
+        input_dim=4,
+        samples_per_class=20,
+        transforms=[IDENTITY] + [DomainTransform(rotation_deg=deg) for deg in (15.0, 30.0, -30.0)],
+        seed=1,
+    )
+    source, *targets = generate(spec)
+    cfg = tiny_config(max_iterations=80)
+    slots = _spy_part1(monkeypatch)
+    result = train_multi_target(cfg, source, targets, jobs=1)
+    assert slots == [1]
+    masks = peer_masks(result.graph)
+    assert not masks[3].any() and not masks[:, 3].any()
+    every_pool = {slot: pipeline._part1_task((cfg, source, t, slot)) for slot, t in enumerate(targets, start=1)}
+    for slot, (t, (params, metrics)) in enumerate(zip(targets, result.per_target), start=1):
+        want_params, want_metrics = pipeline._part3_task(
+            (cfg, source, t, slot, peer_donors(result.graph, slot, every_pool))
+        )
+        assert params_equal(params, want_params)
+        assert metrics_to_json(metrics) == metrics_to_json(want_metrics)
 
 
 def test_multi_target_jobs_deterministic():
@@ -312,7 +378,7 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
     wide = train_multi_target(cfg, source, [t1, t2], jobs=64)
-    assert started == [2, 2]  # part 1 and part 3, one worker per target
+    assert started == [2]  # part 1 runs its one donor in-process; part 3 one worker per target
     for (ps, ms), (pw, mw) in zip(serial.per_target, wide.per_target):
         assert params_equal(ps, pw) and metrics_to_json(ms) == metrics_to_json(mw)
 
