@@ -239,6 +239,9 @@ def cmd_report(args) -> int:
     scatter = (args.scatter_checkpoint, args.scatter_domain, args.scatter_out)
     if any(scatter) and not all(scatter):
         raise ConfigError("--scatter-checkpoint, --scatter-domain and --scatter-out must be given together")
+    for out in (args.out, args.scatter_out):
+        if out is not None:
+            _check_destination(out)
     runs_dir = Path(args.runs)
     metric_files = sorted(runs_dir.rglob("metrics.json"))
     if not metric_files:
@@ -281,6 +284,16 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _check_destination(path) -> None:
+    """Reject an output file that cannot be written: an existing directory,
+    or a name in a directory that does not exist."""
+    path = Path(path)
+    if path.is_dir():
+        raise InvalidInputError(f"{path} is a directory")
+    if not path.parent.is_dir():
+        raise InvalidInputError(f"{path}: no directory {path.parent}")
+
+
 _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -311,8 +324,10 @@ def _scatter_svg(points: np.ndarray, labels: np.ndarray, size: int = 480) -> str
 # --- entry point --------------------------------------------------------------
 
 def _path(text: str) -> str:
-    """argparse type of every file and directory option: a name the file
-    system can take, so argparse rejects any other with exit 2."""
+    """argparse type of every file and directory option: a non-empty name
+    the file system can take, so argparse rejects any other with exit 2."""
+    if not text:
+        raise argparse.ArgumentTypeError("the empty string is not a file name")
     try:
         raw = os.fsencode(text)
     except UnicodeEncodeError:

@@ -13,7 +13,10 @@ c; (5) one backward pass and one optimizer step on the weighted sum of
 the three losses, routing the adversarial term through gradient
 reversal; (6) weak-set update from the target batch; (7) periodic
 strong-set refresh over all target samples, sharing its forward pass
-with an accuracy check due on the same iteration. Step (2) first swaps
+with an accuracy check due on the same iteration. A full-target pass
+keeps only its normalized features and probabilities, and when the last
+iteration refreshed, the end of the run scores and harvests from that
+pass instead of making another. Step (2) first swaps
 each class's strong entry for a sample drawn from that class's peer
 donors; only multi-target part 3 has donors, fixed once per run and
 re-drawn from every iteration, and a run without donors makes no
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -191,10 +193,9 @@ def _adaptation_run(
             has_weak |= hit
 
             # (7) periodic strong refresh over the whole target
-            full = None
+            full = None  # probabilities of this iteration's full-target pass
             if (it + 1) % config.strong_refresh_period == 0:
-                full = forward(params, target.samples)
-                strong = update_strong_set(target.samples, full.norm_features, full.probs, target.name)
+                strong, full = _refresh(params, target)
                 S = np.array([e.x for e in strong.entries])
 
             metrics.loss_ce.append(ce)
@@ -203,18 +204,29 @@ def _adaptation_run(
             metrics.loss_sw.append(sw)
             if (it + 1) % config.accuracy_eval_period == 0 and target.labels is not None:
                 metrics.accuracy_iterations.append(it + 1)
-                acc = evaluate(params, target) if full is None else accuracy(full.probs, target.labels)
+                acc = evaluate(params, target) if full is None else accuracy(full, target.labels)
                 metrics.accuracy_series.append(acc)
     except (FloatingPointError, DegenerateInputError) as exc:
         raise DegenerateInputError(f"target {target.name!r}, iteration {it + 1}: {exc}") from exc
     finally:
         clamps.report(f"target {target.name!r}")
 
-    full = forward(params, target.samples)
+    if full is None:  # the parameters moved since the last refresh
+        full = forward(params, target.samples).probs
     if target.labels is not None:
-        metrics.final_accuracy = accuracy(full.probs, target.labels)
-    pseudo = harvest_pseudo_strong(target.samples, full.probs, w.lam)
+        metrics.final_accuracy = accuracy(full, target.labels)
+    pseudo = harvest_pseudo_strong(target.samples, full, w.lam)
     return params, metrics, pseudo
+
+
+def _refresh(params: NetworkParams, target: Domain):
+    """(strong set, probabilities) from one forward pass over the whole
+    target. Only the normalized features and the probabilities outlive the
+    pass: its backward cache is freed before the refresh allocates."""
+    fwd = forward(params, target.samples)
+    features, probs = fwd.norm_features, fwd.probs
+    del fwd
+    return update_strong_set(target.samples, features, probs, target.name), probs
 
 
 def train_single_target(config: ExperimentConfig, source: Domain, target: Domain):
@@ -251,7 +263,11 @@ def _run_tasks(fn, tasks, jobs: int):
     """[fn(t) for t in tasks], in task order, on up to jobs processes."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    # under fork the pool starts all max_workers processes at the first submit
+    # imported here, because the pool loads multiprocessing, which no
+    # in-process run needs; under fork the pool starts all max_workers
+    # processes at the first submit
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

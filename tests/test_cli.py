@@ -1255,6 +1255,66 @@ def test_report_incomplete_scatter_options_exit_2_before_any_output(tmp_path, ca
     assert not out.exists() and not (tmp_path / "scatter-out").exists()
 
 
+def _scatter_report_argv(tmp_path, out, checkpoint="flat.txt", domain="target.csv", scatter_out="scatter.svg"):
+    """report argv over one metrics.json with a valid 2-d scatter set; each
+    keyword names a file under tmp_path, "" passes the empty string."""
+    write_dataset(tmp_path)
+    (tmp_path / "runs" / "r0").mkdir(parents=True)
+    (tmp_path / "runs" / "r0" / "metrics.json").write_text('{"final_accuracy": 0.5}')
+    net = NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(3,), bottleneck_dim=2)
+    ckpt.save_params(tmp_path / "flat.txt", init_params(net, seed=0))
+    argv = ["report", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / out)]
+    for option, name in (("checkpoint", checkpoint), ("domain", domain), ("out", scatter_out)):
+        argv += [f"--scatter-{option}", name and str(tmp_path / name)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "empty", [("checkpoint", "domain", "scatter_out"), ("scatter_out",)], ids=["all-empty", "one-empty"]
+)
+def test_report_empty_scatter_option_exit_2_before_any_output(tmp_path, empty):
+    # an empty name is rejected as a name, not read as an absent option
+    argv = _scatter_report_argv(tmp_path, "summary.txt", **{name: "" for name in empty})
+    rc, err = _exit_code(argv)
+    assert rc == 2
+    assert "the empty string is not a file name" in err
+    assert not (tmp_path / "summary.txt").exists() and not (tmp_path / "scatter.svg").exists()
+
+
+@pytest.mark.parametrize("bad", ["dir", "missing-parent"])
+@pytest.mark.parametrize("which", ["out", "scatter_out"])
+def test_report_unwritable_destination_exit_2_before_any_output(tmp_path, capsys, which, bad):
+    (tmp_path / "dir").mkdir()
+    dest = {"dir": "dir", "missing-parent": "no/such.txt"}[bad]
+    paths = {"out": "summary.txt", "scatter_out": "scatter.svg", which: dest}
+    argv = _scatter_report_argv(tmp_path, paths["out"], scatter_out=paths["scatter_out"])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / dest}")
+    assert not (tmp_path / "summary.txt").exists() and not (tmp_path / "scatter.svg").exists()
+
+
+def test_training_never_loads_the_process_pool(tmp_path):
+    # multiprocessing costs about 2 MB and 16 ms to import; only a pool of
+    # train-multi workers needs it
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    code = (
+        "import sys\n"
+        "def loaded(): print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n"
+        "import swda; loaded()\n"
+        "import swda.cli; loaded()\n"
+        "rc = swda.cli.main(sys.argv[1:]); loaded()\n"
+        "sys.exit(rc)\n"
+    )
+    argv = ["train-single", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"),
+            "--target", str(tmp_path / "target.csv"), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
+
+
 def test_train_multi_end_to_end(tmp_path):
     spec = SyntheticSpec(
         num_classes=3,
@@ -1434,6 +1494,14 @@ def test_training_commands_document_every_option(capsys, command, own):
     assert [line for line in shared + own if line not in text] == []
 
 
+def _package_env() -> dict:
+    """The environment of a child interpreter that imports the swda under test."""
+    env = dict(os.environ)
+    package_root = str(Path(swda.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def _assert_full_help(command, env=None):
     proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -1448,10 +1516,7 @@ def test_console_script_help():
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts["swda"] == "swda.cli:main"
     # Run the same `main` without an install, importing the `swda` under test.
-    env = dict(os.environ)
-    package_root = str(Path(swda.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    _assert_full_help([sys.executable, "-m", "swda", "--help"], env)
+    _assert_full_help([sys.executable, "-m", "swda", "--help"], _package_env())
     script = shutil.which("swda")
     if script is not None:
         _assert_full_help([script, "--help"])

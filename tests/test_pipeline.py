@@ -1,6 +1,8 @@
 """End-to-end trainer behavior: determinism, schedules, paired ablations
 and metrics serialization."""
 
+import concurrent.futures
+import gc
 import json
 import logging
 from dataclasses import replace
@@ -13,7 +15,7 @@ from swda.config import ExperimentConfig
 from swda.datasets import IDENTITY, Domain, DomainTransform, SyntheticSpec, generate
 from swda.errors import InvalidDatasetError, InvalidInputError
 from swda.losses import LossWeights
-from swda.network import NetworkConfig
+from swda.network import ForwardResult, NetworkConfig
 from swda.pipeline import (
     evaluate,
     loss_curves_csv,
@@ -376,7 +378,7 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # _run_tasks imports it from here
     wide = train_multi_target(cfg, source, [t1, t2], jobs=64)
     assert started == [2]  # part 1 runs its one donor in-process; part 3 one worker per target
     for (ps, ms), (pw, mw) in zip(serial.per_target, wide.per_target):
@@ -390,21 +392,64 @@ def openblas_or_skip():
     return threads
 
 
-@pytest.mark.parametrize("accuracy_period, solo_checks", [(40, 0), (30, 3)])
-def test_full_target_passes_are_shared(monkeypatch, accuracy_period, solo_checks):
+@pytest.mark.parametrize(
+    "iterations, accuracy_period, solo_checks, end_passes",
+    [
+        pytest.param(120, 40, 0, 0, id="40-0"),
+        pytest.param(120, 30, 3, 0, id="30-3"),
+        pytest.param(110, 30, 3, 1, id="110-iterations-30-3"),  # neither period divides 110
+    ],
+)
+def test_full_target_passes_are_shared(monkeypatch, iterations, accuracy_period, solo_checks, end_passes):
     # one forward pass per source step and per target step; a refresh
-    # (every 40 of 120 iterations) serves an accuracy check due on the same
-    # iteration, and the end of the run scores and harvests from one pass
+    # (every 40 iterations) serves an accuracy check due on the same
+    # iteration, and the end of the run scores and harvests from the last
+    # refresh's pass when the last iteration refreshed, else from one pass
     source, target = tiny_problem()
     passes, solo = [], []
     forward, evaluate = pipeline.forward, pipeline.evaluate
     monkeypatch.setattr(pipeline, "forward", lambda *args: passes.append(1) or forward(*args))
     monkeypatch.setattr(scaffolding, "forward", lambda *args: passes.append(1) or forward(*args))
     monkeypatch.setattr(pipeline, "evaluate", lambda *args: solo.append(1) or evaluate(*args))
-    _, metrics, _ = train_single_target(tiny_config(accuracy_eval_period=accuracy_period), source, target)
-    assert metrics.accuracy_iterations == list(range(accuracy_period, 121, accuracy_period))
+    cfg = tiny_config(max_iterations=iterations, accuracy_eval_period=accuracy_period)
+    _, metrics, _ = train_single_target(cfg, source, target)
+    assert metrics.accuracy_iterations == list(range(accuracy_period, iterations + 1, accuracy_period))
     assert len(solo) == solo_checks
-    assert len(passes) == 2 * 120 + 3 + solo_checks + 1
+    assert len(passes) == 2 * iterations + iterations // 40 + solo_checks + end_passes
+
+
+@pytest.mark.parametrize("iterations", [120, 110])
+def test_end_of_run_scores_the_returned_params(iterations):
+    # whether the end of the run reuses the last refresh's pass (120) or
+    # makes its own (110), the final accuracy and the pool are those of a
+    # fresh pass with the returned parameters
+    source, target = tiny_problem()
+    cfg = tiny_config(max_iterations=iterations)
+    params, metrics, pseudo = train_single_target(cfg, source, target)
+    probs = pipeline.forward(params, target.samples).probs
+    assert metrics.final_accuracy == scaffolding.accuracy(probs, target.labels)
+    want = pipeline.harvest_pseudo_strong(target.samples, probs, cfg.weights.lam)
+    assert [len(pool) for pool in pseudo.pools] == [len(pool) for pool in want.pools]
+    for got, ref in zip(pseudo.pools, want.pools):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_no_full_target_forward_result_lives_through_a_refresh(monkeypatch):
+    # a refresh reads only the pass's normalized features and probabilities;
+    # the pass's backward cache (hidden, raw features, logits) is freed first
+    source, target = tiny_problem()
+    alive = []
+    update_strong_set = pipeline.update_strong_set
+
+    def counting(*args):
+        alive.append(
+            sum(isinstance(o, ForwardResult) and o.probs.shape[0] == target.n for o in gc.get_objects())
+        )
+        return update_strong_set(*args)
+
+    monkeypatch.setattr(pipeline, "update_strong_set", counting)
+    train_single_target(tiny_config(), source, target)
+    assert alive == [0, 0, 0]
 
 
 def test_training_runs_on_one_blas_thread_and_restores_count(monkeypatch):
