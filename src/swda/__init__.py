@@ -8,6 +8,18 @@ scaffold each target with peers proven (by a class-wise centroid
 distance graph) to lie between it and the source.
 """
 
+import os
+import sys
+
+# Load OpenBLAS with no worker thread to busy-wait through a run (see
+# mathutils.serial_blas); a count the user set wins, and no child inherits ours.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .config import ExperimentConfig
 from .datasets import (
     Domain,

@@ -173,6 +173,7 @@ def _write_run_outputs(out_dir: Path, params, metrics, echo: dict, pseudo=None) 
 # --- commands -----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    _check_out_dir(args.out)
     spec = spec_from_dict(_load_json(args.spec))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,6 +188,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_single(args) -> int:
+    _check_out_dir(args.out)
     cfg, source, config = _load_run(args)
     target = load_csv(args.target)
     params, metrics, pseudo = train_single_target(config, source, target)
@@ -199,6 +201,7 @@ def cmd_train_single(args) -> int:
 def cmd_train_multi(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_out_dir(args.out)
     cfg, source, config = _load_run(args)
     targets = [load_csv(p) for p in args.targets]
     names = [t.name for t in targets]
@@ -292,6 +295,14 @@ def _check_destination(path) -> None:
         raise InvalidInputError(f"{path} is a directory")
     if not path.parent.is_dir():
         raise InvalidInputError(f"{path}: no directory {path.parent}")
+
+
+def _check_out_dir(path) -> None:
+    """Reject an output directory that mkdir cannot make, before any work:
+    the path or its nearest existing ancestor is not a directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise InvalidInputError(f"{path}: {existing} is not a directory")
 
 
 _PALETTE = [

@@ -10,7 +10,8 @@ the same formula on the same operands agree bit for bit: the distance
 graph, and the fallback of the certified BLAS nearest searches in repsets.
 
 ``serial_blas`` pins the loaded OpenBLAS to one thread while a trainer
-runs; see its docstring for why that is safe and faster.
+runs, and ``import swda`` loads it on one thread when it loads numpy; see
+serial_blas for why that is safe and faster.
 """
 
 from __future__ import annotations
@@ -274,8 +275,13 @@ def serial_blas():
 
     Training multiplies small batches (48 rows by default), too small for
     a second BLAS thread to help; the extra thread only spins, and in a
-    process pool it takes a core from the other worker. dgemm does not split a dot product's
-    reduction across threads, so results are bit-identical at any count.
+    process pool it takes a core from the other worker. An idle worker
+    busy-waits about 2^28 cycles after it starts or after a multi-threaded
+    product, and lowering the count does not stop a spin under way; hence
+    ``import swda`` loads numpy with OPENBLAS_NUM_THREADS=1 unless numpy is
+    loaded already (as under pytest) or the user set the variable. dgemm
+    does not split a dot product's reduction across threads, so results
+    are bit-identical at any count.
     Without a mapped OpenBLAS this does nothing. The count is process-wide:
     trainers running concurrently in threads of one process share it.
     """

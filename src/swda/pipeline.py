@@ -272,6 +272,7 @@ def _run_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
+@serial_blas()
 def train_multi_target(
     config: ExperimentConfig,
     source: Domain,
@@ -292,7 +293,7 @@ def train_multi_target(
     Every run draws from its own derived seed, so skipping a part-1 run
     changes no other output. To isolate what peer scaffolding adds,
     compare each part-3 run with the single-target run seeded by
-    part3_seed.
+    part3_seed. All three parts run with OpenBLAS on one thread.
     """
     if not targets:
         raise InvalidInputError("need at least one target domain")

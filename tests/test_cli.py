@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import swda
 from swda import checkpoint as ckpt
-from swda import cli, pipeline
+from swda import cli, mathutils, pipeline
 from swda.cli import main
 from swda.config import ExperimentConfig
 from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, save_csv
@@ -1313,6 +1313,92 @@ def test_training_never_loads_the_process_pool(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
     assert proc.returncode == 0, proc.stderr
     assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
+
+
+@pytest.mark.parametrize("command", ["generate", "train-single", "train-multi"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_naming_a_file_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, out):
+    # mkdir would fail only after all of the training; nothing is loaded first
+    calls = []
+    for name in ("_load_json", "load_csv", "generate", "train_single_target", "train_multi_target"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    (tmp_path / "file").write_text("")
+    inputs = {
+        "generate": ["--spec", "spec.json"],
+        "train-single": ["--config", "c.json", "--source", "s.csv", "--target", "t.csv"],
+        "train-multi": ["--config", "c.json", "--source", "s.csv", "--targets", "t.csv"],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / out}: {tmp_path / 'file'} is not a directory\n"
+    assert calls == []
+
+
+def _child_env(**extra) -> dict:
+    """_package_env() without OPENBLAS_NUM_THREADS, plus extra."""
+    env = _package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return {**env, **extra}
+
+
+def _child_blas_threads(code: str, env: dict) -> int:
+    """The OpenBLAS thread count a fresh interpreter prints after running code."""
+    read = "from swda.mathutils import _openblas_threads; print(_openblas_threads()[0]())"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{read}"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def _numpy_default_blas_threads() -> int:
+    """OpenBLAS's thread count in a fresh interpreter that loads numpy without
+    swda: the package is stubbed, so its __init__ never runs."""
+    stub = (
+        "import numpy, sys, types\n"
+        f"sys.modules['swda'] = types.ModuleType('swda'); sys.modules['swda'].__path__ = [{str(Path(swda.__file__).parent)!r}]"
+    )
+    return _child_blas_threads(stub, _child_env())
+
+
+@pytest.mark.parametrize(
+    "code, extra, want",
+    [
+        pytest.param("import swda, os\nassert 'OPENBLAS_NUM_THREADS' not in os.environ", {}, 1, id="pinned"),
+        pytest.param("import swda", {"OPENBLAS_NUM_THREADS": "2"}, 2, id="user-count-wins"),
+        pytest.param("import numpy, swda", {}, None, id="numpy-first-keeps-its-default"),
+        pytest.param("import swda.mathutils as m\nm._openblas_threads()[1](2)", {}, 2, id="set-raises-after-pin"),
+    ],
+)
+def test_import_swda_loads_openblas_on_one_thread(code, extra, want):
+    # an OpenBLAS worker thread busy-waits after it starts; swda loads numpy
+    # with none unless the user chose a count or numpy was already loaded
+    if mathutils._openblas_threads() is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    if want is None:
+        want = _numpy_default_blas_threads()
+    assert _child_blas_threads(code, _child_env(**extra)) == want
+
+
+def test_train_single_spends_no_cpu_beyond_its_wall_time(tmp_path):
+    # a single-threaded run; an idle OpenBLAS worker spinning beside it
+    # would add its spin (about 0.1 s on two or more cores) to the CPU time
+    if mathutils._openblas_threads() is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path, {"max_iterations": 1500, "strong_refresh_period": 100})
+    code = (
+        "import resource, sys, time\n"
+        "def cpu(): r = resource.getrusage(resource.RUSAGE_SELF); return r.ru_utime + r.ru_stime\n"
+        "cpu0, wall0 = cpu(), time.perf_counter()\n"
+        "import swda.cli\n"
+        "rc = swda.cli.main(sys.argv[1:])\n"
+        "print(cpu() - cpu0, time.perf_counter() - wall0)\n"
+        "sys.exit(rc)\n"
+    )
+    argv = ["train-single", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"),
+            "--target", str(tmp_path / "target.csv"), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    cpu_s, wall_s = map(float, proc.stdout.splitlines()[-1].split())
+    assert cpu_s <= wall_s + 0.05
 
 
 def test_train_multi_end_to_end(tmp_path):

@@ -473,6 +473,29 @@ def test_training_runs_on_one_blas_thread_and_restores_count(monkeypatch):
         set_(before)
 
 
+def test_multi_target_runs_part_2_on_one_blas_thread_and_restores_count(monkeypatch):
+    # part 2's full-domain passes run outside any adaptation run, so only
+    # the decorator on train_multi_target keeps them off a second thread
+    get, set_ = openblas_or_skip()
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return centroids_for_domains(*args, **kwargs)
+
+    centroids_for_domains = pipeline.centroids_for_domains
+    monkeypatch.setattr(pipeline, "centroids_for_domains", recording)
+    before = get()
+    set_(2)
+    try:
+        source, t1, t2 = source_and_two_targets()
+        train_multi_target(tiny_config(max_iterations=80), source, [t1, t2])
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(before)
+
+
 def test_serial_blas_restores_count_when_the_block_raises():
     get, set_ = openblas_or_skip()
     before = get()
