@@ -41,7 +41,7 @@ from .errors import (
     SwdaError,
 )
 from .losses import LossWeights
-from .network import NetworkConfig, forward
+from .network import NetworkConfig, forward  # noqa: F401  (perfbench's tracing test expects cli to bind forward)
 from .pipeline import (
     loss_curves_csv,
     metrics_to_json,
@@ -52,6 +52,7 @@ from .scaffolding import (
     build_distance_graph,
     centroids_for_domains,
     format_distance_report,
+    full_pass,
 )
 
 # flat config keys: the fields of NetworkConfig and LossWeights and the
@@ -201,16 +202,10 @@ def cmd_train_single(args) -> int:
 def cmd_train_multi(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    _check_out_dir(args.out)
+    _check_multi_outputs(args.out, [Path(p).stem for p in args.targets])
     cfg, source, config = _load_run(args)
     targets = [load_csv(p) for p in args.targets]
     names = [t.name for t in targets]
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise ConfigError(
-            f"--targets: repeated target names {repeated}; a target is named by its file stem, "
-            "and its outputs go to a directory of that name"
-        )
     result = train_multi_target(config, source, targets, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,10 +265,10 @@ def cmd_report(args) -> int:
         domain = load_csv(args.scatter_domain)
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                fwd = forward(params, domain.samples)
+                features, probs = full_pass(params, domain.samples)
         except FloatingPointError as exc:
             raise DegenerateInputError(f"domain {domain.name!r}: {exc}") from exc
-        svg = _scatter_svg(fwd.norm_features, np.argmax(fwd.probs, axis=1))
+        svg = _scatter_svg(features, np.argmax(probs, axis=1))
 
     lines = ["task mean_final_accuracy num_runs"]
     for task in sorted(groups):
@@ -303,6 +298,25 @@ def _check_out_dir(path) -> None:
     existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
     if not existing.is_dir():
         raise InvalidInputError(f"{path}: {existing} is not a directory")
+
+
+def _check_multi_outputs(out, names: list) -> None:
+    """Reject, before any work, a train-multi --out whose outputs cannot be
+    written: --out itself, a target's directory --out/<name> (each target is
+    named by its file stem, so two with one stem would share it), or a file
+    of the graph or the source checkpoint that is an existing directory."""
+    _check_out_dir(out)
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(
+            f"--targets: repeated target names {repeated}; a target is named by its file stem, "
+            "and its outputs go to a directory of that name"
+        )
+    for name in names:
+        _check_out_dir(Path(out) / name)
+    for name in ("distance_graph.txt", "source_checkpoint.txt"):
+        if (Path(out) / name).is_dir():
+            raise InvalidInputError(f"{Path(out) / name} is a directory")
 
 
 _PALETTE = [

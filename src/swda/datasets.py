@@ -263,6 +263,16 @@ def save_csv(domain: Domain, path) -> None:
 
 @names_its_file
 def load_csv(path) -> Domain:
+    """The Domain of a CSV that save_csv's layout describes, named by the
+    file stem; blank lines are skipped. A ParseError carries the line it
+    blames: per row in file order a field count, a label (an int() in [0,
+    2^63) or '?') or a feature float() that fails, then no data rows, then
+    the first row whose labeledness differs from the first row's, then the
+    first non-finite feature.
+
+    Each row parses straight into preallocated arrays, and its line is
+    dropped once parsed, so the text and the arrays together never take
+    much more than the file's size."""
     path = Path(path)
     lines = read_utf8(path).splitlines()
     if not lines:
@@ -274,38 +284,41 @@ def load_csv(path) -> Domain:
     if d == 0:
         raise ParseError("header has no feature columns", line=1)
 
-    rows, labels = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
+    row_lines = np.flatnonzero([bool(line.strip()) for line in lines[1:]]) + 2  # each data row's line number
+    samples = np.empty((row_lines.size, d))
+    labels = np.empty(row_lines.size, dtype=np.int64)
+    labeled = mixed_line = None
+    for r, line_no in enumerate(row_lines.tolist()):
+        fields = lines[line_no - 1].split(",")
+        lines[line_no - 1] = None
         if len(fields) != d + 1:
             raise ParseError(f"expected {d + 1} fields, found {len(fields)}", line=line_no)
-        if fields[0] == "?":
-            labels.append(None)
-        else:
+        has_label = fields[0] != "?"
+        if has_label:
             try:
-                labels.append(int(fields[0]))
+                label = int(fields[0])
             except ValueError:
                 raise ParseError(f"bad label {fields[0]!r}", line=line_no)
-            if labels[-1] < 0:
-                raise ParseError(f"negative label {labels[-1]}", line=line_no)
-            if labels[-1] >= 2**63:
-                raise ParseError(f"label {labels[-1]} does not fit in int64", line=line_no)
+            if label < 0:
+                raise ParseError(f"negative label {label}", line=line_no)
+            if label >= 2**63:
+                raise ParseError(f"label {label} does not fit in int64", line=line_no)
+            labels[r] = label
+        if labeled is None:
+            labeled = has_label
+        elif has_label != labeled and mixed_line is None:
+            mixed_line = line_no
         try:
-            rows.append([float(v) for v in fields[1:]])
+            samples[r] = [float(v) for v in fields[1:]]
         except ValueError:
             raise ParseError("bad feature value", line=line_no)
 
-    if not rows:
+    if not row_lines.size:
         raise ParseError("no data rows", line=len(lines))
-    if any(l is None for l in labels) and any(l is not None for l in labels):
-        raise ParseError("mixed labeled and unlabeled rows", line=2)
-    samples = np.array(rows)
+    if mixed_line is not None:
+        raise ParseError("mixed labeled and unlabeled rows", line=mixed_line)
     finite = np.isfinite(samples)
     if not finite.all():
         r, col = np.argwhere(~finite)[0]
-        line_no = [i for i, line in enumerate(lines[1:], start=2) if line.strip()][r]
-        raise ParseError(f"non-finite feature value {samples[r, col]!r} in column f{col}", line=line_no)
-    label_arr = None if labels[0] is None else np.array(labels, dtype=np.int64)
-    return Domain(path.stem, samples, label_arr)
+        raise ParseError(f"non-finite feature value {samples[r, col]!r} in column f{col}", line=int(row_lines[r]))
+    return Domain(path.stem, samples, labels if labeled else None)

@@ -31,6 +31,9 @@ Array = np.ndarray
 #: default step for central finite differences
 FD_EPS = 1e-5
 MAX_FLOAT64_ENTRIES = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can make
+#: rows per block of a pass over a whole domain (scaffolding.full_pass) and
+#: of row_norms: bounds their scratch, and no bit depends on it
+BLOCK_ROWS = 1024
 
 
 def as_float_array(x, ndim: int | None = None) -> Array:
@@ -142,21 +145,28 @@ def column_fsums(M: Array) -> Array:
     fsum's signed-zero rules. Any other column, such as a near tie, an inf
     or nan entry, or a sum that overflows, takes math.fsum itself, with
     its results and exceptions.
+
+    Memory. One (n + 1, m) buffer A holds |M| and then all the scratch. A
+    level that halves r rows computes its errors in the last 2h rows of A
+    and then writes its r - h partial sums to the first rows, which the
+    next level reads. The first level reads only M; a later one reads
+    A[:r], and r + 2h <= 2 ceil(n/2) <= n + 1 keeps its scratch below
+    that. So every column's result is the same exact sum as with
+    separate buffers.
     """
     n, m = M.shape
     out = np.zeros(m)
     if n == 0:
         return out
     with np.errstate(all="ignore"):
-        abs_sum = np.abs(M).sum(axis=0)
-        S = np.empty((n - n // 2, m))  # the partial sums, in place after level 1
-        Z, Y = np.empty((n // 2, m)), np.empty((n // 2, m))
+        A = np.empty((n + 1, m))  # |M|, then the only scratch: see Memory
+        abs_sum = np.abs(M, out=A[:n]).sum(axis=0)
         E = np.zeros(m)
         src, r, levels = M, n, 0
         while r > 1:
             h = r // 2
             a, b = src[:h], src[r - h : r]
-            s, z = Z[:h], Y[:h]
+            S, s, z = A[: r - h], A[-2 * h : -h], A[-h:]  # the level's sums, and its scratch
             np.add(a, b, out=s)
             np.subtract(s, a, out=z)
             np.subtract(s, z, out=s)
@@ -189,8 +199,14 @@ def column_fsums(M: Array) -> Array:
 
 
 def row_norms(M: Array) -> Array:
-    """sqrt(fsum(r * r)) for every row r of a 2-d float64 array."""
-    return np.sqrt(column_fsums(np.multiply(M.T, M.T, order="C")))
+    """sqrt(fsum(r * r)) for every row r of a 2-d float64 array, BLOCK_ROWS
+    rows at a time: each row is its own column_fsums column, so blocking
+    bounds the scratch and changes no bit."""
+    out = np.empty(M.shape[0])
+    for lo in range(0, M.shape[0], BLOCK_ROWS):
+        B = M[lo : lo + BLOCK_ROWS].T
+        np.sqrt(column_fsums(np.multiply(B, B, order="C")), out=out[lo : lo + B.shape[1]])
+    return out
 
 
 def cosine_distances(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:

@@ -12,15 +12,17 @@ after a refresh, so that batch is fused row c for each predicted label
 c; (5) one backward pass and one optimizer step on the weighted sum of
 the three losses, routing the adversarial term through gradient
 reversal; (6) weak-set update from the target batch; (7) periodic
-strong-set refresh over all target samples, sharing its forward pass
-with an accuracy check due on the same iteration. A full-target pass
-keeps only its normalized features and probabilities, and when the last
-iteration refreshed, the end of the run scores and harvests from that
-pass instead of making another. Step (2) first swaps
-each class's strong entry for a sample drawn from that class's peer
-donors; only multi-target part 3 has donors, fixed once per run and
-re-drawn from every iteration, and a run without donors makes no
-replacement call.
+strong-set refresh over all target samples, sharing its full-target
+pass with an accuracy check due on the same iteration. That pass is
+scaffolding.full_pass: the network runs on 1,024-row blocks and only
+the normalized features and probabilities are kept, so the refresh's
+memory follows what it keeps, not a block's backward cache. When the
+last iteration refreshed, the end of the run scores and harvests from
+that pass; otherwise it makes one more that keeps only probabilities.
+Step (2) first swaps each class's strong entry for a sample drawn from
+that class's peer donors; only multi-target part 3 has donors, fixed
+once per run and re-drawn from every iteration, and a run without
+donors makes no replacement call.
 
 The trainers validate domains and config once, at their boundary; see
 _adaptation_run for what the loop then leaves unchecked.
@@ -61,6 +63,7 @@ from .scaffolding import (
     check_source_classes,
     donor_slots,
     evaluate,
+    full_pass,
     peer_masks,
     replace_with_peers,
     source_step,
@@ -212,7 +215,7 @@ def _adaptation_run(
         clamps.report(f"target {target.name!r}")
 
     if full is None:  # the parameters moved since the last refresh
-        full = forward(params, target.samples).probs
+        full = full_pass(params, target.samples, features=False)[1]
     if target.labels is not None:
         metrics.final_accuracy = accuracy(full, target.labels)
     pseudo = harvest_pseudo_strong(target.samples, full, w.lam)
@@ -220,12 +223,9 @@ def _adaptation_run(
 
 
 def _refresh(params: NetworkParams, target: Domain):
-    """(strong set, probabilities) from one forward pass over the whole
-    target. Only the normalized features and the probabilities outlive the
-    pass: its backward cache is freed before the refresh allocates."""
-    fwd = forward(params, target.samples)
-    features, probs = fwd.norm_features, fwd.probs
-    del fwd
+    """(strong set, probabilities) from one full_pass over the whole target:
+    only its normalized features and probabilities reach the refresh."""
+    features, probs = full_pass(params, target.samples)
     return update_strong_set(target.samples, features, probs, target.name), probs
 
 

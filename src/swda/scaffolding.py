@@ -1,7 +1,8 @@
 """Multi-target scaffolding: source-only pretraining, the class-wise
 distance graph between domain centroids, the two peer criteria, and
 strong-set replacement from qualifying peer domains. The supervised
-source step and the accuracy check live here too; both trainers use them.
+source step, the accuracy check and full_pass, the pass over a whole
+domain in row blocks, live here too; both trainers use them.
 
 The distance graph is a (N+1) x (N+1) x k tensor of cosine distances
 between per-class centroids, computed once from a source-only network and
@@ -26,7 +27,7 @@ from .config import STREAM_SOURCE, ExperimentConfig, BatchSampler, stream_rng
 from .datasets import Domain
 from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError, NotInitializedError
 from .losses import _cross_entropy
-from .mathutils import Array, as_float_array, column_fsums, cosine_distances, row_norms, serial_blas
+from .mathutils import BLOCK_ROWS, Array, as_float_array, column_fsums, cosine_distances, row_norms, serial_blas
 from .network import (
     NetworkParams,
     backward,
@@ -90,7 +91,30 @@ def evaluate(params: NetworkParams, domain: Domain) -> float:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels to evaluate against")
     if domain.n == 0:
         raise InvalidDatasetError(f"domain {domain.name!r} is empty")
-    return accuracy(forward(params, domain.samples).probs, domain.labels)
+    return accuracy(full_pass(params, domain.samples, features=False)[1], domain.labels)
+
+
+def full_pass(params: NetworkParams, samples: Array, features: bool = True) -> tuple:
+    """(normalized features, probabilities) of every row of samples, from
+    one forward call per BLOCK_ROWS-row block; with features=False only the
+    probabilities are kept, and None stands for the features. A pass's
+    backward cache dies with its block, and each row's outputs depend on
+    that row alone, so the arrays are those of one forward over all rows,
+    bit for bit. Samples that fit one block get that pass's own arrays."""
+    samples = as_float_array(samples, ndim=2)
+    n = samples.shape[0]
+    if n <= BLOCK_ROWS:
+        fwd = forward(params, samples)
+        return (fwd.norm_features if features else None), fwd.probs
+    V = np.empty((n, params.bottleneck.weight.shape[0])) if features else None
+    P = np.empty((n, params.classifier.shape[0]))
+    for lo in range(0, n, BLOCK_ROWS):
+        fwd = forward(params, samples[lo : lo + BLOCK_ROWS])
+        P[lo : lo + BLOCK_ROWS] = fwd.probs
+        if features:
+            V[lo : lo + BLOCK_ROWS] = fwd.norm_features
+        del fwd  # before the next block's pass allocates
+    return V, P
 
 
 def accuracy(probs: Array, labels: Array) -> float:
@@ -184,8 +208,7 @@ def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
     """Probability-weighted class centroids of one domain's normalized
     features. Returns (centroids (k, d), valid (k,) mask); a class with zero
     total probability mass is marked invalid instead of raising."""
-    fwd = forward(params, samples)
-    P, V = fwd.probs, fwd.norm_features
+    V, P = full_pass(params, samples)
     valid = column_fsums(P) != 0.0
     # each centroid row depends only on its own probability column
     C = np.zeros((P.shape[1], V.shape[1]))

@@ -1557,6 +1557,32 @@ def test_train_multi_repeated_target_name_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("blocker", ["target", "distance_graph.txt", "source_checkpoint.txt"])
+def test_train_multi_unwritable_output_exit_2_before_any_work(tmp_path, capsys, monkeypatch, blocker):
+    # a file where a target's directory goes, or a directory where the graph
+    # or the source checkpoint goes, used to fail only after all training
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "multi"
+    out.mkdir()
+    if blocker == "target":
+        (out / blocker).write_text("")
+        want = f"{out / blocker}: {out / blocker} is not a directory"
+    else:
+        (out / blocker).mkdir()
+        want = f"{out / blocker} is a directory"
+    loaded, trained = [], []
+    load_csv = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", lambda path: loaded.append(Path(path)) or load_csv(path))
+    monkeypatch.setattr(cli, "train_multi_target", lambda *args, **kwargs: trained.append(1))
+    target = tmp_path / "target.csv"
+    argv = ["train-multi", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"),
+            "--targets", str(target), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert target not in loaded and trained == []
+
+
 @pytest.mark.parametrize(
     "command, own",
     [

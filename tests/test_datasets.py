@@ -214,7 +214,8 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
         ("label,f0\n0,1.0\n-1,2.0\n", 3, "negative label"),
         ("label,f0\n0,1.0\n99999999999999999999999,2.0\n", 3, "label outside int64"),
         ("label,f0\n0,abc\n", 2, "bad feature"),
-        ("label,f0\n0,1.0\n?,2.0\n", 2, "mixed"),
+        ("label,f0\n0,1.0\n?,2.0\n", 3, "mixed: the first row whose labeledness differs from the first row's"),
+        ("label,f0\n" + "?,1.0\n" * 49 + "\n2,2.0\n?,3.0\n", 52, "mixed 50 data rows deep, after a blank line"),
         ("label,f0,f1\n0,1.0,nan\n", 2, "nan feature"),
         ("label,f0,f1\n0,1.0,2.0\n\n1,-inf,4.0\n", 4, "-inf feature after a blank line"),
         ("label,f0\n0,1.0\n1,1e999\n", 3, "overflow to inf"),

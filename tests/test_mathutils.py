@@ -56,8 +56,9 @@ def test_softmax_rejects_non_finite():
 
 def test_exact_norm_matches_fsum():
     rng = np.random.default_rng(4)
-    M = rng.normal(size=(5, 17))
-    assert row_norms(M).tolist() == [math.sqrt(math.fsum(x * x for x in row)) for row in M.tolist()]
+    # one block, and three blocks of BLOCK_ROWS rows, the last one short
+    for M in (rng.normal(size=(5, 17)), rng.normal(size=(2 * mathutils.BLOCK_ROWS + 552, 7)) * 1e3):
+        assert row_norms(M).tolist() == [math.sqrt(math.fsum(x * x for x in row)) for row in M.tolist()]
 
 
 def cosine_table(A, B):
@@ -245,4 +246,20 @@ def test_column_fsums_raises_no_floating_point_error():
     ])
     with np.errstate(all="raise"):
         got = column_fsums(M)
+    assert all(same_float(g, math.fsum(M[:, c].tolist())) for c, g in enumerate(got.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1801, 3600])
+def test_column_fsums_leaves_m_unchanged_and_equals_fsum(n):
+    # one buffer holds |M| and every level's scratch; each column is still
+    # its own exact sum, with a non-finite and a cancelling column beside
+    # random ones
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n, 4)) * 2.0 ** rng.integers(-40, 40, size=4)
+    M[n // 2, 1] = math.inf
+    big = rng.normal(size=n // 2) * 1e200
+    M[:, 2] = np.concatenate([big, -big[::-1], [1e-3] * (n % 2)]) + rng.normal(size=n) * 1e-10
+    before = M.copy()
+    got = column_fsums(M)
+    assert np.array_equal(M, before)
     assert all(same_float(g, math.fsum(M[:, c].tolist())) for c, g in enumerate(got.tolist()))

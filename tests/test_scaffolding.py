@@ -129,6 +129,36 @@ def test_compute_domain_centroids_matches_repsets_bitwise():
     assert np.array_equal(C, compute_centroids(fwd.probs, fwd.norm_features))
 
 
+def _counting_forward(monkeypatch):
+    """Spy on the forward full_pass calls: the list of its results."""
+    seen = []
+    monkeypatch.setattr(scaffolding, "forward", lambda *args: seen.append(forward(*args)) or seen[-1])
+    return seen
+
+
+def test_full_pass_in_blocks_matches_one_forward_bitwise(monkeypatch):
+    params = init_params(NET, 2)
+    x = np.random.default_rng(2).normal(size=(2600, 4))
+    whole = forward(params, x)
+    seen = _counting_forward(monkeypatch)
+    V, P = scaffolding.full_pass(params, x)
+    assert [f.probs.shape[0] for f in seen] == [1024, 1024, 552]
+    assert np.array_equal(V, whole.norm_features) and np.array_equal(P, whole.probs)
+    none, probs = scaffolding.full_pass(params, x, features=False)
+    assert none is None and np.array_equal(probs, whole.probs)
+
+
+@pytest.mark.parametrize("n", [1, 720, 1024])
+def test_full_pass_in_one_block_returns_its_own_arrays(monkeypatch, n):
+    params = init_params(NET, 3)
+    x = np.random.default_rng(3).normal(size=(n, 4))
+    seen = _counting_forward(monkeypatch)
+    V, P = scaffolding.full_pass(params, x)
+    assert len(seen) == 1 and V is seen[0].norm_features and P is seen[0].probs
+    none, probs = scaffolding.full_pass(params, x, features=False)
+    assert len(seen) == 2 and none is None and probs is seen[1].probs
+
+
 def test_centroids_for_domains_rejects_empty():
     params = init_params(NET, 0)
     with pytest.raises(InvalidDatasetError):
