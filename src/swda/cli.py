@@ -162,13 +162,22 @@ def _config_echo(cfg: dict, config: ExperimentConfig, source: Domain, target: Do
     }
 
 
+# the files a training run writes to its directory, and the harvested
+# pseudo strong set that train-single writes beside them
+_RUN_FILES = ("metrics.json", "loss_curves.csv", "checkpoint.txt")
+_PSEUDO_FILE = "pseudo_strong.txt"
+# the files train-multi writes to --out itself
+_MULTI_FILES = ("distance_graph.txt", "source_checkpoint.txt")
+
+
 def _write_run_outputs(out_dir: Path, params, metrics, echo: dict, pseudo=None) -> None:
+    metrics_path, curves_path, checkpoint_path = (out_dir / name for name in _RUN_FILES)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(metrics_to_json(metrics, echo))
-    (out_dir / "loss_curves.csv").write_text(loss_curves_csv(metrics))
-    ckpt.save_params(out_dir / "checkpoint.txt", params)
+    metrics_path.write_text(metrics_to_json(metrics, echo))
+    curves_path.write_text(loss_curves_csv(metrics))
+    ckpt.save_params(checkpoint_path, params)
     if pseudo is not None:
-        ckpt.save_arrays(out_dir / "pseudo_strong.txt", ckpt.pseudo_to_arrays(pseudo))
+        ckpt.save_arrays(out_dir / _PSEUDO_FILE, ckpt.pseudo_to_arrays(pseudo))
 
 
 # --- commands -----------------------------------------------------------------
@@ -190,6 +199,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train_single(args) -> int:
     _check_out_dir(args.out)
+    _check_files(args.out, (*_RUN_FILES, _PSEUDO_FILE))
     cfg, source, config = _load_run(args)
     target = load_csv(args.target)
     params, metrics, pseudo = train_single_target(config, source, target)
@@ -213,8 +223,9 @@ def cmd_train_multi(args) -> int:
         _write_run_outputs(out / target.name, params, metrics, _config_echo(cfg, config, source, target))
         if metrics.final_accuracy is not None:
             print(f"{target.name}: final accuracy {metrics.final_accuracy!r}")
-    (out / "distance_graph.txt").write_text(format_distance_report(result.graph, [source.name] + names))
-    ckpt.save_params(out / "source_checkpoint.txt", result.source_params)
+    graph_path, source_checkpoint_path = (out / name for name in _MULTI_FILES)
+    graph_path.write_text(format_distance_report(result.graph, [source.name] + names))
+    ckpt.save_params(source_checkpoint_path, result.source_params)
     return 0
 
 
@@ -300,11 +311,20 @@ def _check_out_dir(path) -> None:
         raise InvalidInputError(f"{path}: {existing} is not a directory")
 
 
+def _check_files(out_dir, names) -> None:
+    """Reject an output file out_dir/<name> that is an existing directory,
+    before any work: writing it would fail only after all of the training."""
+    for name in names:
+        if (Path(out_dir) / name).is_dir():
+            raise InvalidInputError(f"{Path(out_dir) / name} is a directory")
+
+
 def _check_multi_outputs(out, names: list) -> None:
     """Reject, before any work, a train-multi --out whose outputs cannot be
     written: --out itself, a target's directory --out/<name> (each target is
-    named by its file stem, so two with one stem would share it), or a file
-    of the graph or the source checkpoint that is an existing directory."""
+    named by its file stem, so two with one stem would share it), a run
+    file in it, or the graph or the source checkpoint, where one of those
+    files is an existing directory."""
     _check_out_dir(out)
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
@@ -314,9 +334,8 @@ def _check_multi_outputs(out, names: list) -> None:
         )
     for name in names:
         _check_out_dir(Path(out) / name)
-    for name in ("distance_graph.txt", "source_checkpoint.txt"):
-        if (Path(out) / name).is_dir():
-            raise InvalidInputError(f"{Path(out) / name} is a directory")
+        _check_files(Path(out) / name, _RUN_FILES)
+    _check_files(out, _MULTI_FILES)
 
 
 _PALETTE = [
@@ -401,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument(
         "--targets", required=True, type=_path, nargs="+", help="target CSVs; each target's outputs go to a directory named by its file stem"
     )
-    tm.add_argument("--jobs", type=int, default=1, help="parallel per-target trainers")
+    tm.add_argument(
+        "--jobs", type=int, default=1, help="parallel per-target trainers: at most this many processes, this one included"
+    )
     tm.set_defaults(fn=cmd_train_multi)
 
     dg = sub.add_parser("distance-graph", help="class-wise distance graph report")

@@ -290,9 +290,9 @@ def serial_blas():
     thread and restore the previous thread count afterwards.
 
     Training multiplies small batches (48 rows by default), too small for
-    a second BLAS thread to help; the extra thread only spins, and in a
-    process pool it takes a core from the other worker. An idle worker
-    busy-waits about 2^28 cycles after it starts or after a multi-threaded
+    a second BLAS thread to help; the extra thread only spins, and beside
+    train_multi_target's forked lanes it takes a core from another lane.
+    An idle BLAS worker busy-waits about 2^28 cycles after it starts or after a multi-threaded
     product, and lowering the count does not stop a spin under way; hence
     ``import swda`` loads numpy with OPENBLAS_NUM_THREADS=1 unless numpy is
     loaded already (as under pytest) or the user set the variable. dgemm

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,16 +262,72 @@ def _part3_task(args):
 
 
 def _run_tasks(fn, tasks, jobs: int):
-    """[fn(t) for t in tasks], in task order, on up to jobs processes."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    # imported here, because the pool loads multiprocessing, which no
-    # in-process run needs; under fork the pool starts all max_workers
-    # processes at the first submit
-    from concurrent.futures import ProcessPoolExecutor
+    """[fn(t) for t in tasks], in task order, on at most jobs processes,
+    this one included.
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    The tasks split into lanes = min(jobs, len(tasks)) lanes: this process
+    runs lane 0, tasks[0::lanes], and forks one child per other lane l to
+    run tasks[l::lanes]. Children inherit fn and the tasks; each pickles
+    back (True, results) or (False, exception) through its own pipe and
+    leaves through os._exit, never through the caller's stack. A child's
+    exception is raised here unchanged; a child that ends without a reply
+    raises ChildProcessError. Whatever ends the call, every child still
+    running is killed and every child reaped. Where os.fork does not
+    exist, every task runs in this process."""
+    lanes = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    if lanes <= 1:
+        return [fn(t) for t in tasks]
+    pipes, live = [], []  # each child lane's reply pipe (read end); children not reaped yet
+    try:
+        for lane in range(1, lanes):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child_lane(fn, tasks[lane::lanes], w)
+            finally:
+                os.close(w)  # before the next fork, so a dead child's pipe reads EOF
+            live.append(pid)
+        results = [None] * len(tasks)
+        results[0::lanes] = [fn(t) for t in tasks[0::lanes]]
+        for lane, (pid, r) in enumerate(zip(list(live), pipes), start=1):
+            with open(r, "rb", closefd=False) as f:
+                reply = f.read()
+            status = os.waitpid(pid, 0)[1]
+            live.remove(pid)
+            if not reply:
+                raise ChildProcessError(
+                    f"lane {lane} ended with exit status {os.waitstatus_to_exitcode(status)} and no reply"
+                )
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results[lane::lanes] = value
+        return results
+    finally:
+        for pid in live:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
+
+
+def _child_lane(fn, tasks, w: int):
+    """Body of a forked lane: reply through pipe end w, then leave the
+    process without running anything of the caller's (stack, atexit
+    handlers, buffered output)."""
+    status = 1
+    try:
+        try:
+            reply = pickle.dumps((True, [fn(t) for t in tasks]))
+        except Exception as exc:
+            reply = pickle.dumps((False, exc))
+        with open(w, "wb") as f:
+            f.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @serial_blas()
@@ -294,7 +352,14 @@ def train_multi_target(
     changes no other output. To isolate what peer scaffolding adds,
     compare each part-3 run with the single-target run seeded by
     part3_seed. All three parts run with OpenBLAS on one thread.
+
+    jobs, an int >= 1, caps the processes part 1 and part 3 each use, this
+    one included: a part's runs split into lanes, and every lane but the
+    first runs in a forked child (see _run_tasks). Outputs do not depend
+    on jobs.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise InvalidInputError(f"jobs must be an int >= 1, got {jobs!r}")
     if not targets:
         raise InvalidInputError("need at least one target domain")
     _check_domains(config, source, targets)

@@ -1296,9 +1296,10 @@ def test_report_unwritable_destination_exit_2_before_any_output(tmp_path, capsys
 
 
 def test_training_never_loads_the_process_pool(tmp_path):
-    # multiprocessing costs about 2 MB and 16 ms to import; only a pool of
-    # train-multi workers needs it
+    # multiprocessing costs about 2 MB and 16 ms to import; train-multi's
+    # parallel runs fork their lanes with os.fork and need none of it
     write_dataset(tmp_path)
+    shutil.copy(tmp_path / "target.csv", tmp_path / "t2.csv")
     cfg_path, _ = write_config(tmp_path)
     code = (
         "import sys\n"
@@ -1308,11 +1309,64 @@ def test_training_never_loads_the_process_pool(tmp_path):
         "rc = swda.cli.main(sys.argv[1:]); loaded()\n"
         "sys.exit(rc)\n"
     )
-    argv = ["train-single", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"),
-            "--target", str(tmp_path / "target.csv"), "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
-    assert proc.returncode == 0, proc.stderr
-    assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
+    common = ["--config", str(cfg_path), "--source", str(tmp_path / "source.csv")]
+    for argv in (
+        ["train-single", *common, "--target", str(tmp_path / "target.csv"), "--out", str(tmp_path / "single")],
+        # two part-3 runs, so the second runs in a forked lane
+        ["train-multi", *common, "--targets", str(tmp_path / "target.csv"), str(tmp_path / "t2.csv"),
+         "--out", str(tmp_path / "multi"), "--jobs", "2"],
+    ):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "command, blocker",
+    [
+        ("train-single", "metrics.json"),
+        ("train-single", "pseudo_strong.txt"),
+        ("train-multi", "t/metrics.json"),
+        ("train-multi", "t/checkpoint.txt"),
+    ],
+)
+def test_run_file_that_is_a_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, blocker):
+    # writing the run's files would fail only after all of the training
+    calls = []
+    for name in ("_load_json", "load_csv", "train_single_target", "train_multi_target"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    out = tmp_path / "out"
+    (out / blocker).mkdir(parents=True)
+    inputs = {
+        "train-single": ["--target", "t.csv"],
+        "train-multi": ["--targets", "t.csv"],
+    }[command]
+    assert main([command, "--config", "c.json", "--source", "s.csv", *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out / blocker} is a directory\n"
+    assert calls == []
+
+
+def test_train_multi_child_lane_failure_exits_as_in_process(tmp_path, capsys, monkeypatch):
+    # at --jobs 2 the second target's part-3 run is a forked lane's; its
+    # numerical failure must end the command as it does at --jobs 1
+    write_dataset(tmp_path)
+    shutil.copy(tmp_path / "target.csv", tmp_path / "t2.csv")
+    cfg_path, _ = write_config(tmp_path)
+    part3 = pipeline._part3_task
+
+    def failing(args):
+        if args[3] == 2:
+            raise swda.DegenerateInputError("target 't2', iteration 5: zero-norm feature row")
+        return part3(args)
+
+    monkeypatch.setattr(pipeline, "_part3_task", failing)
+    errs = []
+    for jobs in ("1", "2"):
+        argv = ["train-multi", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"), "--targets",
+                str(tmp_path / "target.csv"), str(tmp_path / "t2.csv"), "--out", str(tmp_path / jobs), "--jobs", jobs]
+        assert main(argv) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: target 't2', iteration 5: zero-norm feature row\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "train-single", "train-multi"])
@@ -1591,7 +1645,7 @@ def test_train_multi_unwritable_output_exit_2_before_any_work(tmp_path, capsys, 
             "train-multi",
             [
                 "--targets TARGETS [TARGETS ...] target CSVs; each target's outputs go to a directory named by its file stem",
-                "--jobs JOBS parallel per-target trainers",
+                "--jobs JOBS parallel per-target trainers: at most this many processes, this one included",
             ],
         ),
     ],

@@ -1,10 +1,13 @@
 """End-to-end trainer behavior: determinism, schedules, paired ablations
 and metrics serialization."""
 
-import concurrent.futures
 import gc
 import json
 import logging
+import os
+import re
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -357,32 +360,105 @@ def test_multi_target_jobs_deterministic():
         assert np.shares_memory(pp.classifier, pp.flat)
 
 
+def _spy_forks(monkeypatch) -> list:
+    """The pids os.fork returns to this process from now on."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    # under fork a ProcessPoolExecutor starts all max_workers processes at
-    # the first submit; this fake records the count and runs in-process
+    # a lane per task at most, this process running the first
     source, t1, t2 = source_and_two_targets()
     cfg = tiny_config(max_iterations=40)
     serial = train_multi_target(cfg, source, [t1, t2], jobs=1)
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # _run_tasks imports it from here
+    forks = _spy_forks(monkeypatch)
     wide = train_multi_target(cfg, source, [t1, t2], jobs=64)
-    assert started == [2]  # part 1 runs its one donor in-process; part 3 one worker per target
+    assert len(forks) == 1  # part 1 runs its one donor in-process; part 3 forks one child for two targets
     for (ps, ms), (pw, mw) in zip(serial.per_target, wide.per_target):
         assert params_equal(ps, pw) and metrics_to_json(ms) == metrics_to_json(mw)
+
+
+def _task_and_pid(t):
+    return t, os.getpid()
+
+
+@pytest.mark.parametrize("jobs, lanes", [(2, 2), (64, 5)])
+def test_run_tasks_returns_results_in_task_order(jobs, lanes):
+    got = pipeline._run_tasks(_task_and_pid, list(range(5)), jobs)
+    assert [t for t, _ in got] == list(range(5))
+    pids = [pid for _, pid in got]
+    assert pids[0::lanes] == [os.getpid()] * len(pids[0::lanes])  # lane 0 runs here
+    assert len(set(pids)) == lanes
+
+
+def test_run_tasks_child_ending_without_a_reply_raises():
+    with pytest.raises(ChildProcessError, match="lane 1 ended with exit status 1 and no reply"):
+        pipeline._run_tasks(lambda t: os._exit(1) if t else t, [0, 1], 2)
+
+
+def _fail_or_wait(failing):
+    """A task that raises on the task failing and sleeps on any other but 0,
+    so a child still running when the call ends must be killed."""
+
+    def task(t):
+        if t == failing:
+            raise InvalidInputError(f"task {t} failed")
+        if t:
+            time.sleep(60)
+        return t
+
+    return task
+
+
+@pytest.mark.parametrize("fn, raises", [
+    pytest.param(_task_and_pid, None, id="success"),
+    pytest.param(_fail_or_wait(0), "task 0 failed", id="parent-lane-raises"),
+    pytest.param(_fail_or_wait(1), "task 1 failed", id="child-lane-raises"),
+])
+def test_run_tasks_leaves_no_child_behind(monkeypatch, fn, raises):
+    forks = _spy_forks(monkeypatch)
+    start = time.monotonic()
+    if raises is None:
+        pipeline._run_tasks(fn, [0, 1, 2], 3)
+    else:
+        with pytest.raises(InvalidInputError, match=raises):
+            pipeline._run_tasks(fn, [0, 1, 2], 3)
+    assert time.monotonic() - start < 30  # no sleeping child was waited for
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # reaped already
+            os.waitpid(pid, 0)
+
+
+def test_run_tasks_starts_no_thread():
+    before = threading.active_count()
+    source, t1, t2 = source_and_two_targets()
+    train_multi_target(tiny_config(max_iterations=40), source, [t1, t2], jobs=2)
+    assert threading.active_count() == before
+
+
+def test_run_tasks_without_fork_runs_serially(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert pipeline._run_tasks(_task_and_pid, [0, 1, 2], 3) == [(t, os.getpid()) for t in range(3)]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 1.0, "2", None])
+def test_multi_target_rejects_jobs_that_are_not_a_positive_int(monkeypatch, jobs):
+    trained = []
+    monkeypatch.setattr(pipeline, "train_source_only", lambda *args: trained.append(args))
+    source, t1, t2 = source_and_two_targets()
+    with pytest.raises(InvalidInputError, match=f"jobs must be an int >= 1, got {re.escape(repr(jobs))}"):
+        train_multi_target(tiny_config(), source, [t1, t2], jobs=jobs)
+    assert trained == []
 
 
 def openblas_or_skip():
