@@ -4,6 +4,9 @@ Commands: generate, train-single, train-multi, distance-graph, report.
 Hyper-parameters come from one flat JSON config file rather than flags so
 the exact configuration is echoed into every metrics document. Exit
 codes: 0 success, 2 configuration or input error, 3 numerical failure.
+Every command names the files it writes and the directories it makes to
+_check_outputs before it reads any input, so an output that cannot be
+written exits 2 before any work rather than after it.
 """
 
 from __future__ import annotations
@@ -183,27 +186,27 @@ def _write_run_outputs(out_dir: Path, params, metrics, echo: dict, pseudo=None) 
 # --- commands -----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    _check_out_dir(args.out)
-    spec = spec_from_dict(_load_json(args.spec))
     out = Path(args.out)
+    manifest = out / "manifest.json"
+    _check_outputs([manifest], [out])
+    domains = generate(spec_from_dict(_load_json(args.spec)))
+    files = [f"{dom.name}.csv" for dom in domains]
+    _check_outputs([manifest, *(out / name for name in files)], [out])
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for dom in generate(spec):
-        name = f"{dom.name}.csv"
+    for dom, name in zip(domains, files):
         save_csv(dom, out / name)
-        files.append(name)
-    (out / "manifest.json").write_text(json.dumps({"files": files}, indent=2) + "\n")
+    manifest.write_text(json.dumps({"files": files}, indent=2) + "\n")
     print(f"wrote {len(files)} domains to {out}")
     return 0
 
 
 def cmd_train_single(args) -> int:
-    _check_out_dir(args.out)
-    _check_files(args.out, (*_RUN_FILES, _PSEUDO_FILE))
+    out = Path(args.out)
+    _check_outputs([out / name for name in (*_RUN_FILES, _PSEUDO_FILE)], [out])
     cfg, source, config = _load_run(args)
     target = load_csv(args.target)
     params, metrics, pseudo = train_single_target(config, source, target)
-    _write_run_outputs(Path(args.out), params, metrics, _config_echo(cfg, config, source, target), pseudo)
+    _write_run_outputs(out, params, metrics, _config_echo(cfg, config, source, target), pseudo)
     if metrics.final_accuracy is not None:
         print(f"final target accuracy: {metrics.final_accuracy!r}")
     return 0
@@ -212,13 +215,21 @@ def cmd_train_single(args) -> int:
 def cmd_train_multi(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    _check_multi_outputs(args.out, [Path(p).stem for p in args.targets])
+    names = [Path(p).stem for p in args.targets]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(
+            f"--targets: repeated target names {repeated}; a target is named by its file stem, "
+            "and its outputs go to a directory of that name"
+        )
+    out = Path(args.out)
+    _check_outputs(
+        [*(out / name / f for name in names for f in _RUN_FILES), *(out / name for name in _MULTI_FILES)],
+        [out, *(out / name for name in names)],
+    )
     cfg, source, config = _load_run(args)
     targets = [load_csv(p) for p in args.targets]
-    names = [t.name for t in targets]
     result = train_multi_target(config, source, targets, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for target, (params, metrics) in zip(targets, result.per_target):
         _write_run_outputs(out / target.name, params, metrics, _config_echo(cfg, config, source, target))
         if metrics.final_accuracy is not None:
@@ -230,10 +241,11 @@ def cmd_train_multi(args) -> int:
 
 
 def cmd_distance_graph(args) -> int:
+    if len(args.domains) < 2:
+        raise InvalidInputError("need at least 2 domain files (source first)")
+    _check_outputs([args.out])
     params = ckpt.load_params(args.checkpoint)
     domains = [load_csv(p) for p in args.domains]
-    if len(domains) < 2:
-        raise InvalidInputError("need at least 2 domain files (source first)")
     graph = build_distance_graph(centroids_for_domains(params, domains))
     report = format_distance_report(graph, [d.name for d in domains])
     Path(args.out).write_text(report)
@@ -248,9 +260,7 @@ def cmd_report(args) -> int:
     scatter = (args.scatter_checkpoint, args.scatter_domain, args.scatter_out)
     if any(scatter) and not all(scatter):
         raise ConfigError("--scatter-checkpoint, --scatter-domain and --scatter-out must be given together")
-    for out in (args.out, args.scatter_out):
-        if out is not None:
-            _check_destination(out)
+    _check_outputs([out for out in (args.out, args.scatter_out) if out is not None])
     runs_dir = Path(args.runs)
     metric_files = sorted(runs_dir.rglob("metrics.json"))
     if not metric_files:
@@ -293,49 +303,28 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _check_destination(path) -> None:
-    """Reject an output file that cannot be written: an existing directory,
-    or a name in a directory that does not exist."""
-    path = Path(path)
-    if path.is_dir():
-        raise InvalidInputError(f"{path} is a directory")
-    if not path.parent.is_dir():
-        raise InvalidInputError(f"{path}: no directory {path.parent}")
-
-
-def _check_out_dir(path) -> None:
-    """Reject an output directory that mkdir cannot make, before any work:
-    the path or its nearest existing ancestor is not a directory."""
-    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
-    if not existing.is_dir():
-        raise InvalidInputError(f"{path}: {existing} is not a directory")
-
-
-def _check_files(out_dir, names) -> None:
-    """Reject an output file out_dir/<name> that is an existing directory,
-    before any work: writing it would fail only after all of the training."""
-    for name in names:
-        if (Path(out_dir) / name).is_dir():
-            raise InvalidInputError(f"{Path(out_dir) / name} is a directory")
-
-
-def _check_multi_outputs(out, names: list) -> None:
-    """Reject, before any work, a train-multi --out whose outputs cannot be
-    written: --out itself, a target's directory --out/<name> (each target is
-    named by its file stem, so two with one stem would share it), a run
-    file in it, or the graph or the source checkpoint, where one of those
-    files is an existing directory."""
-    _check_out_dir(out)
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise ConfigError(
-            f"--targets: repeated target names {repeated}; a target is named by its file stem, "
-            "and its outputs go to a directory of that name"
-        )
-    for name in names:
-        _check_out_dir(Path(out) / name)
-        _check_files(Path(out) / name, _RUN_FILES)
-    _check_files(out, _MULTI_FILES)
+def _check_outputs(files, dirs=()) -> None:
+    """Reject, before any input is read, a command's outputs that cannot all
+    be written: one path named twice, under any spelling (the second write
+    would replace the first), a directory to make below an existing
+    non-directory, or a file that is an existing directory or lies in a
+    directory that neither exists nor is among dirs."""
+    files, dirs = [Path(f) for f in files], [Path(d) for d in dirs]
+    seen = set()
+    for path in dirs + files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InvalidInputError(f"{path}: named by two outputs")
+        seen.add(real)
+    for d in dirs:
+        existing = next(p for p in (d, *d.parents) if p.exists())
+        if not existing.is_dir():
+            raise InvalidInputError(f"{d}: {existing} is not a directory")
+    for f in files:
+        if f.is_dir():
+            raise InvalidInputError(f"{f} is a directory")
+        if not (f.parent.is_dir() or f.parent in dirs):
+            raise InvalidInputError(f"{f}: no directory {f.parent}")
 
 
 _PALETTE = [

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, artifact layout, determinism and
 agreement with the library API."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -1281,18 +1282,26 @@ def test_report_empty_scatter_option_exit_2_before_any_output(tmp_path, empty):
     assert not (tmp_path / "summary.txt").exists() and not (tmp_path / "scatter.svg").exists()
 
 
-@pytest.mark.parametrize("bad", ["dir", "missing-parent"])
+@pytest.mark.parametrize("bad", ["dir", "missing-parent", "shared"])
 @pytest.mark.parametrize("which", ["out", "scatter_out"])
-def test_report_unwritable_destination_exit_2_before_any_output(tmp_path, capsys, which, bad):
+def test_report_unwritable_destination_exit_2_before_any_output(tmp_path, capsys, monkeypatch, which, bad):
+    # shared: both options name the other's file, so the SVG would replace
+    # the table
     (tmp_path / "dir").mkdir()
-    dest = {"dir": "dir", "missing-parent": "no/such.txt"}[bad]
-    paths = {"out": "summary.txt", "scatter_out": "scatter.svg", which: dest}
+    names = {"out": "summary.txt", "scatter_out": "scatter.svg"}
+    other = "scatter_out" if which == "out" else "out"
+    dest = {"dir": "dir", "missing-parent": "no/such.txt", "shared": names[other]}[bad]
+    paths = {**names, which: dest}
     argv = _scatter_report_argv(tmp_path, paths["out"], scatter_out=paths["scatter_out"])
+    calls = []
+    for holder, name in ((cli, "_load_json"), (cli, "load_csv"), (ckpt, "load_params")):
+        monkeypatch.setattr(holder, name, lambda *args, name=name: calls.append(name))
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {tmp_path / dest}")
     assert not (tmp_path / "summary.txt").exists() and not (tmp_path / "scatter.svg").exists()
+    assert calls == []
 
 
 def test_training_never_loads_the_process_pool(tmp_path):
@@ -1385,6 +1394,75 @@ def test_out_naming_a_file_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert main([command, *inputs, "--out", str(tmp_path / out)]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / out}: {tmp_path / 'file'} is not a directory\n"
     assert calls == []
+
+
+# per command: options with one output that is an existing directory
+_OUTPUT_DIRECTORY_CASES = {
+    "generate": (["--spec", "spec.json", "--out", "out"], "out/manifest.json"),
+    "train-single": (["--config", "c.json", "--source", "s.csv", "--target", "t.csv", "--out", "out"], "out/loss_curves.csv"),
+    "train-multi": (["--config", "c.json", "--source", "s.csv", "--targets", "t.csv", "--out", "out"], "out/source_checkpoint.txt"),
+    "distance-graph": (["--checkpoint", "net.txt", "--domains", "s.csv", "t.csv", "--out", "out"], "out"),
+    "report": (["--runs", "runs", "--out", "out"], "out"),
+}
+_COMMANDS = sorted(next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_output_that_is_a_directory_exit_2_before_any_input(tmp_path, capsys, monkeypatch, command):
+    # every command checks all of its outputs before it reads any input; a
+    # command without a case here fails
+    options, blocker = _OUTPUT_DIRECTORY_CASES[command]
+    monkeypatch.chdir(tmp_path)
+    Path(blocker).mkdir(parents=True)
+    calls = []
+    for holder, name in (
+        (cli, "_load_json"), (cli, "load_csv"), (ckpt, "load_params"),
+        (cli, "generate"), (cli, "train_single_target"), (cli, "train_multi_target"),
+    ):
+        monkeypatch.setattr(holder, name, lambda *args, name=name, **kwargs: calls.append(name))
+    assert main([command, *options]) == 2
+    assert capsys.readouterr().err == f"error: {blocker} is a directory\n"
+    assert calls == [] and sorted(tmp_path.rglob("*")) == [tmp_path / p for p in sorted({"out", blocker})]
+
+
+@pytest.mark.parametrize(
+    "domains, out, want",
+    [
+        (["source.csv", "target.csv"], "no/graph.txt", "{t}/no/graph.txt: no directory {t}/no"),
+        (["source.csv"], "graph.txt", "need at least 2 domain files (source first)"),
+    ],
+    ids=["out-in-missing-directory", "one-domain"],
+)
+def test_distance_graph_bad_arguments_exit_2_before_any_input(tmp_path, capsys, monkeypatch, domains, out, want):
+    # each used to fail only after the checkpoint and every CSV had loaded
+    calls = []
+    for holder, name in ((cli, "load_csv"), (ckpt, "load_params")):
+        monkeypatch.setattr(holder, name, lambda *args, name=name: calls.append(name))
+    argv = ["distance-graph", "--checkpoint", str(tmp_path / "net.txt"),
+            "--domains", *(str(tmp_path / d) for d in domains), "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {want.format(t=tmp_path)}\n"
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["d/../d/s.txt", "link/s.txt"], ids=["dot-dot", "symlink"])
+def test_check_outputs_sees_one_file_under_two_spellings(tmp_path, spelling):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    with pytest.raises(swda.InvalidInputError, match=re.escape(f"{tmp_path / spelling}: named by two outputs")):
+        cli._check_outputs([tmp_path / "d" / "s.txt", tmp_path / spelling])
+
+
+def test_generate_domain_file_that_is_a_directory_exit_2_before_any_file(tmp_path, capsys):
+    # the domain files are named only once the spec is read, but all are
+    # checked before the first is written
+    (tmp_path / "spec.json").write_text(json.dumps({"num_classes": 2, "input_dim": 2, "samples_per_class": 3,
+                                                    "transforms": [{}, {"rotation_deg": 10.0}]}))
+    out = tmp_path / "data"
+    (out / "target1.csv").mkdir(parents=True)
+    assert main(["generate", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out / 'target1.csv'} is a directory\n"
+    assert sorted(out.iterdir()) == [out / "target1.csv"]
 
 
 def _child_env(**extra) -> dict:
@@ -1611,30 +1689,34 @@ def test_train_multi_repeated_target_name_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("blocker", ["target", "distance_graph.txt", "source_checkpoint.txt"])
+@pytest.mark.parametrize("blocker", ["target", "distance_graph.txt", "source_checkpoint.txt", "graph-named-target"])
 def test_train_multi_unwritable_output_exit_2_before_any_work(tmp_path, capsys, monkeypatch, blocker):
     # a file where a target's directory goes, or a directory where the graph
-    # or the source checkpoint goes, used to fail only after all training
+    # or the source checkpoint goes, used to fail only after all training;
+    # so did a target whose directory is the graph's path
     write_dataset(tmp_path)
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "multi"
     out.mkdir()
+    target = tmp_path / "target.csv"
     if blocker == "target":
         (out / blocker).write_text("")
         want = f"{out / blocker}: {out / blocker} is not a directory"
+    elif blocker == "graph-named-target":
+        target = Path(shutil.copy(target, tmp_path / "distance_graph.txt.csv"))
+        want = f"{out / 'distance_graph.txt'}: named by two outputs"
     else:
         (out / blocker).mkdir()
         want = f"{out / blocker} is a directory"
-    loaded, trained = [], []
-    load_csv = cli.load_csv
-    monkeypatch.setattr(cli, "load_csv", lambda path: loaded.append(Path(path)) or load_csv(path))
-    monkeypatch.setattr(cli, "train_multi_target", lambda *args, **kwargs: trained.append(1))
-    target = tmp_path / "target.csv"
+    before = sorted(out.rglob("*"))
+    calls = []
+    for name in ("_load_json", "load_csv", "train_multi_target"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
     argv = ["train-multi", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"),
             "--targets", str(target), "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {want}\n"
-    assert target not in loaded and trained == []
+    assert calls == [] and sorted(out.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
