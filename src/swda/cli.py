@@ -222,6 +222,9 @@ def cmd_train_multi(args) -> int:
             f"--targets: repeated target names {repeated}; a target is named by its file stem, "
             "and its outputs go to a directory of that name"
         )
+    for path, name in zip(args.targets, names):
+        if name in (".", ".."):
+            raise ConfigError(f"--targets: {path}: file stem {name!r} names no directory of its own for its outputs")
     out = Path(args.out)
     _check_outputs(
         [*(out / name / f for name in names for f in _RUN_FILES), *(out / name for name in _MULTI_FILES)],

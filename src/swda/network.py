@@ -188,12 +188,12 @@ def forward(params: NetworkParams, inputs) -> ForwardResult:
     raw = act @ params.bottleneck.weight.T
     raw += params.bottleneck.bias
     norms = np.sqrt(np.add.reduce(raw * raw, axis=1))  # np.linalg.norm's formula, minus its dispatch
-    if (norms == 0.0).any():
+    if np.count_nonzero(norms) < norms.size:
         raise DegenerateInputError("a bottleneck feature row has zero norm; cannot scale to tau")
     scale = params.tau / norms
     norm_features = raw * scale[:, None]
     logits = norm_features @ params.classifier.T
-    if not np.isfinite(logits).all():
+    if np.count_nonzero(np.isfinite(logits)) < logits.size:
         raise DegenerateInputError("non-finite logits: the inputs are not finite, or the parameters have diverged")
     return ForwardResult(x, hidden, raw, norms, scale, norm_features, logits, softmax_of_finite(logits))
 
@@ -237,7 +237,7 @@ def backward(
         g_feat = _logit_grad(feature_grad_wrt_logits, fwd, "feature gradient")
     if out is None:
         out = params.with_flat(np.empty_like(params.flat))
-    elif out.shapes != params.shapes:
+    elif out.shapes is not params.shapes and out.shapes != params.shapes:
         raise InvalidInputError(f"gradient tree has leaf shapes {out.shapes}, parameters have {params.shapes}")
 
     np.matmul(g_cls.T, fwd.norm_features, out=out.classifier)

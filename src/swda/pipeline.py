@@ -20,9 +20,9 @@ memory follows what it keeps, not a block's backward cache. When the
 last iteration refreshed, the end of the run scores and harvests from
 that pass; otherwise it makes one more that keeps only probabilities.
 Step (2) first swaps each class's strong entry for a sample drawn from
-that class's peer donors; only multi-target part 3 has donors, fixed
-once per run and re-drawn from every iteration, and a run without
-donors makes no replacement call.
+that class's peer donors. Only multi-target part 3 has donors, stacked
+once per run; each iteration draws every class's donor with one
+scaffolding._draw_donors call, and a run without donors makes none.
 
 The trainers validate domains and config once, at their boundary; see
 _adaptation_run for what the loop then leaves unchecked.
@@ -57,7 +57,9 @@ from .repsets import _fused, _weak_rows, harvest_pseudo_strong, update_strong_se
 from .scaffolding import (
     ClampCount,
     DistanceGraph,
+    _donor_table,
     _donors,
+    _draw_donors,
     accuracy,
     build_distance_graph,
     centroids_for_domains,
@@ -67,7 +69,6 @@ from .scaffolding import (
     evaluate,
     full_pass,
     peer_masks,
-    replace_with_peers,
     source_step,
     train_source_only,
 )
@@ -141,8 +142,13 @@ def _adaptation_run(
     peer_rng = stream_rng(config.seed, STREAM_PEER)
     clamps = ClampCount()
     swaps = any(donors)
+    if swaps:  # every donor row, stacked once
+        classes, pairs, starts, counts = _donor_table(donors)
+        D = np.array([sample for sample, _ in pairs])
+    g_cls = np.empty((min(config.batch_size, target.n) + k, k))  # logit gradients; an iteration uses m = len(rows) rows
+    g_feat = np.empty_like(g_cls)
 
-    strong = S = None  # the strong set, and its rows as a (k, d) matrix
+    S = None  # the strong set's rows as a (k, d) matrix; a class with donors holds its latest draw
     W = np.zeros((k, target.samples.shape[1]))  # weak set rows, valid where has_weak
     has_weak = np.zeros(k, dtype=bool)
     metrics = RunMetrics([], [], [], [], [], [], None)
@@ -161,12 +167,14 @@ def _adaptation_run(
             if S is None:
                 rows = batch
             else:
-                own = np.array([e.x for e in replace_with_peers(strong, donors, peer_rng).entries]) if swaps else S
-                rows = np.concatenate([batch, _fused(own, W, has_weak, fusion_rng)])
+                if swaps:
+                    S[classes] = D[_draw_donors(starts, counts, peer_rng)]
+                rows = np.concatenate([batch, _fused(S, W, has_weak, fusion_rng)])
 
             # (3) one forward pass over the batch and the fused rows below it
             fwd = forward(params, rows)
             probs = fwd.probs[:n]
+            pred = probs.argmax(1)
 
             # (4) the three target losses; every class has a fused row, so
             # L_SW reads row pred of them for each predicted label pred, and
@@ -175,25 +183,24 @@ def _adaptation_run(
             adv, g_all = _adversarial_logit(fwd.logits[:n], probs, w.lam)
             g_im *= w.k1
             g_all *= w.k2
-            g_cls = np.zeros((rows.shape[0], k))
-            g_feat = np.empty_like(g_cls)
+            m = rows.shape[0]
             sw = 0.0
             if S is not None:
-                pred = probs.argmax(1)
                 sw, g_sw = _strong_weak(fwd.probs[n + pred], pred)
                 g_sw *= w.k3
-                np.add.at(g_cls[n:], pred, g_sw)
-                g_feat[n:] = g_cls[n:]
+                g_cls[n:m] = 0.0
+                np.add.at(g_cls[n:m], pred, g_sw)
+                g_feat[n:m] = g_cls[n:m]
 
             # (5) one backward pass and one optimizer step for the combined
             # target objective: L_ALL reaches the classifier as is and the
             # feature path reversed
             np.add(g_im, g_all, out=g_cls[:n])
             np.subtract(g_im, g_all, out=g_feat[:n])
-            sgd_step(params, backward(params, fwd, g_cls, g_feat, out=grads), velocity, lr_head, lr_gen)
+            sgd_step(params, backward(params, fwd, g_cls[:m], g_feat[:m], out=grads), velocity, lr_head, lr_gen)
 
             # (6) weak set follows every batch
-            best, hit = _weak_rows(probs, w.lam)
+            best, hit = _weak_rows(probs, w.lam, pred)
             W[hit] = batch[best[hit]]
             has_weak |= hit
 

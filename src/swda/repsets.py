@@ -207,21 +207,22 @@ def update_strong_set(inputs, norm_features, probs, domain: str = "target") -> S
     return StrongSet([StrongEntry(X[i].copy(), domain) for i in picks])
 
 
-def _confident(P: Array, lam: float) -> Array:
+def _confident(P: Array, lam: float, top=None) -> Array:
     """The confident samples of an (n, k) probability matrix, as an (n, k)
     matrix: entry [i, c] is P[i, c] when c is row i's argmax (ties to the
     lowest class) and P[i, c] > lam, and -inf everywhere else. The weak set
-    takes each column's best row, the pseudo strong pools its best cap."""
-    top = P.argmax(1)
+    takes each column's best row, the pseudo strong pools its best cap.
+    top, when given, is P.argmax(1), computed already by the caller."""
+    top = P.argmax(1) if top is None else top
     top_p = P[np.arange(P.shape[0]), top]
     return np.where((top[:, None] == np.arange(P.shape[1])) & (top_p > lam)[:, None], top_p[:, None], -np.inf)
 
 
-def _weak_rows(P: Array, lam: float) -> tuple:
+def _weak_rows(P: Array, lam: float, top=None) -> tuple:
     """(best, hit) for a non-empty (n, k) probability matrix: hit[c] says
-    whether column c of _confident(P, lam) has a finite entry, and then
-    best[c] is its first row of highest probability."""
-    M = _confident(P, lam)
+    whether column c of _confident(P, lam, top) has a finite entry, and
+    then best[c] is its first row of highest probability."""
+    M = _confident(P, lam, top)
     best = M.argmax(0)
     return best, M[best, np.arange(P.shape[1])] > -np.inf
 
@@ -251,15 +252,17 @@ def _fused(S: Array, W: Array, blend: Array, rng) -> Array:
     The r of all blended rows come from one draw of the generator in row
     order, the same doubles as one scalar draw per row; a draw of exactly
     0 is redrawn, shifting the later rows onto the next draws, as a scalar
-    draw-until-nonzero loop would."""
-    F = S.copy()
+    draw-until-nonzero loop would; no row blending draws nothing. When
+    every row blends, the blend is computed whole, with no copy of S."""
     rows = blend.nonzero()[0]
-    if rows.size:
-        r = rng.uniform(0.0, 1.0, size=rows.size)
-        while not r.all():  # r lives in the open interval
-            i = np.argmin(r)  # the first zero
-            r[i:] = np.append(r[i + 1 :], rng.uniform(0.0, 1.0))
-        F[rows] = r[:, None] * S[rows] + (1.0 - r)[:, None] * W[rows]
+    r = rng.uniform(0.0, 1.0, size=rows.size)
+    while not r.all():  # r lives in the open interval
+        i = np.argmin(r)  # the first zero
+        r[i:] = np.append(r[i + 1 :], rng.uniform(0.0, 1.0))
+    if rows.size == S.shape[0]:
+        return r[:, None] * S + (1.0 - r)[:, None] * W
+    F = S.copy()
+    F[rows] = r[:, None] * S[rows] + (1.0 - r)[:, None] * W[rows]
     return F
 
 

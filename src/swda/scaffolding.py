@@ -324,17 +324,33 @@ def peer_donors(G: DistanceGraph, i: int, peers: dict) -> list:
     return _donors(_qualifying(G, i), peers)
 
 
+def _donor_table(donors: list) -> tuple:
+    """(classes, pairs, starts, counts): the classes l with a non-empty
+    donors[l] (see peer_donors), ascending; those lists concatenated; and
+    where each class's list starts in pairs, and its length."""
+    classes = [l for l, union in enumerate(donors) if union]
+    counts = np.array([len(donors[l]) for l in classes], dtype=np.int64)
+    return classes, [pair for l in classes for pair in donors[l]], np.cumsum(counts) - counts, counts
+
+
+def _draw_donors(starts: Array, counts: Array, rng: np.random.Generator) -> Array:
+    """Positions in a _donor_table's pairs of one uniform donor per class:
+    one rng.integers(counts), the same values and generator state as
+    rng.integers(n) for each n in counts in turn."""
+    return starts + rng.integers(counts)
+
+
 def replace_with_peers(own_strong: StrongSet, donors: list, rng: np.random.Generator) -> StrongSet:
-    """Per class, swap the strong entry for a uniformly chosen pair from
-    donors[l] (see peer_donors). Classes with an empty donor list, or past
-    the end of donors, keep their own entry object."""
+    """Per class, swap the strong entry for a pair of donors[l] (see
+    peer_donors) drawn by _draw_donors; classes with an empty donor list,
+    or past the end of donors, keep their own entry object."""
     if not own_strong.populated:
         raise NotInitializedError("own strong set is empty; nothing to replace")
     entries = list(own_strong.entries)
-    for l, union in enumerate(donors):
-        if union:
-            sample, j = union[int(rng.integers(len(union)))]
-            entries[l] = StrongEntry(sample.copy(), f"target{j}")
+    classes, pairs, starts, counts = _donor_table(donors)
+    for l, i in zip(classes, _draw_donors(starts, counts, rng).tolist()):
+        sample, j = pairs[i]
+        entries[l] = StrongEntry(sample.copy(), f"target{j}")
     return StrongSet(entries)
 
 

@@ -1689,6 +1689,26 @@ def test_train_multi_repeated_target_name_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stem", ["..", "."])
+def test_train_multi_dot_stem_target_exit_2_before_any_input(tmp_path, capsys, monkeypatch, stem):
+    # a target's outputs go to out/<stem>/; a stem of ".." put them beside
+    # --out (in dd/ for --out dd/o), and "." on top of the graph's directory
+    write_dataset(tmp_path)
+    cfg_path, _ = write_config(tmp_path)
+    target = Path(shutil.copy(tmp_path / "target.csv", tmp_path / f"{stem}.csv"))
+    out = tmp_path / "dd" / "o"
+    calls = []
+    for name in ("_load_json", "load_csv", "train_multi_target"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    argv = ["train-multi", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"),
+            "--targets", str(target), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --targets: {target}: file stem {stem!r} names no directory of its own for its outputs\n"
+    )
+    assert calls == [] and not (tmp_path / "dd").exists()
+
+
 @pytest.mark.parametrize("blocker", ["target", "distance_graph.txt", "source_checkpoint.txt", "graph-named-target"])
 def test_train_multi_unwritable_output_exit_2_before_any_work(tmp_path, capsys, monkeypatch, blocker):
     # a file where a target's directory goes, or a directory where the graph

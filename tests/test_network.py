@@ -1,12 +1,17 @@
 import copy
 import pickle
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swda.errors import DegenerateInputError, InvalidInputError
 from swda.losses import cross_entropy
-from swda.mathutils import finite_diff_gradient
+from swda.mathutils import finite_diff_gradient, softmax, softmax_of_finite
 from swda.network import (
     Linear,
     NetworkConfig,
@@ -114,8 +119,11 @@ def test_forward_zero_feature_row_raises():
         layer.bias[...] = 0.0
     params.bottleneck.weight[...] = 0.0
     params.bottleneck.bias[...] = 0.0
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="^a bottleneck feature row has zero norm; cannot scale to tau$"):
         forward(params, np.ones((2, 4)))
+
+
+NON_FINITE = "^" + re.escape("non-finite logits: the inputs are not finite, or the parameters have diverged") + "$"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -125,8 +133,58 @@ def test_forward_non_finite_logits_raise(scale):
     # diverged network: a numerical failure, not bad caller input
     params = init_params(SMALL, 0)
     params.classifier[...] *= scale
-    with pytest.raises(DegenerateInputError, match="non-finite logits"):
+    with pytest.raises(DegenerateInputError, match=NON_FINITE):
         forward(params, np.ones((2, 4)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_forward_non_finite_inputs_raise_as_non_finite_logits(x):
+    # a nan feature norm is not zero, so the logits check is what stops it
+    params = init_params(SMALL, 0)
+    with pytest.raises(DegenerateInputError, match=NON_FINITE):
+        forward(params, np.full((2, 4), x))
+
+
+def former_softmax(z):
+    """softmax_of_finite as it was: each row's max from np.maximum.reduce."""
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 60), st.integers(1, 8)),
+    values=st.sampled_from(["normal", "ties", "700"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_softmax_gathered_max_equals_the_max_reduction(shape, values, seed):
+    # the row max is gathered at the argmax; a max is exact, so the
+    # probabilities keep their bits, ties and logits near +-700 included
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        z = rng.normal(size=shape) * 10.0
+    elif values == "ties":
+        z = rng.integers(-2, 3, size=shape) * 0.5
+    else:
+        z = rng.choice([-700.0, -699.5, -0.0, 0.0, 699.25, 700.0], size=shape)
+    assert softmax_of_finite(z).tobytes() == former_softmax(z).tobytes()
+    # softmax of any shape and memory order takes the same rule over the last axis
+    for arr in (z[0], z.reshape(1, *shape), z.T):
+        assert softmax(arr).tobytes() == former_softmax(arr).tobytes()
+
+
+@pytest.mark.parametrize("tau", [20.0, 700.0])
+def test_forward_probabilities_equal_the_max_reduction_softmax(tau):
+    # tau 700 puts logits near +-700; two equal classifier rows tie exactly
+    params = init_params(replace(SMALL, tau=tau), 3)
+    params.classifier[2] = params.classifier[0]
+    fwd = forward(params, np.random.default_rng(4).normal(size=(54, 4)))
+    assert np.abs(fwd.logits).max() > 0.5 * tau
+    assert np.array_equal(fwd.logits[:, 0], fwd.logits[:, 2])
+    assert fwd.probs.tobytes() == former_softmax(fwd.logits).tobytes()
 
 
 def test_backward_matches_finite_differences_cross_entropy():

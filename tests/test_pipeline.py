@@ -185,14 +185,16 @@ def test_part3_disabled_matches_paired_single_run():
 
 
 def _count_replacements(monkeypatch) -> list:
+    # each part-3 iteration draws its peer replacements with one
+    # _draw_donors call; record the donor count of every class it draws for
     calls = []
-    real = pipeline.replace_with_peers
+    real = pipeline._draw_donors
 
-    def spy(own, donors, rng):
-        calls.append(donors)
-        return real(own, donors, rng)
+    def spy(starts, counts, rng):
+        calls.append(counts.tolist())
+        return real(starts, counts, rng)
 
-    monkeypatch.setattr(pipeline, "replace_with_peers", spy)
+    monkeypatch.setattr(pipeline, "_draw_donors", spy)
     return calls
 
 
@@ -220,7 +222,45 @@ def test_part3_run_with_donors_replaces_every_iteration_after_a_refresh(monkeypa
     donor_runs = sum(any(peer_donors(result.graph, slot, result.pseudo_sets)) for slot in (1, 2))
     assert donor_runs >= 1
     assert len(calls) == donor_runs * (cfg.max_iterations - cfg.strong_refresh_period)
-    assert all(any(donors) for donors in calls)
+    assert all(counts and min(counts) >= 1 for counts in calls)
+
+
+def test_every_adaptation_step_calls_the_network_by_its_module_bindings(monkeypatch):
+    # perfbench times forward, backward and sgd_step by replacing these
+    # names in pipeline and scaffolding; a step that went around them would
+    # drop out of its trace. Each iteration makes a source step and a
+    # target step: two backward passes and two optimizer steps, and at
+    # least two forward passes (evaluation and refreshes add more)
+    names = ("forward", "backward", "sgd_step")
+    calls = dict.fromkeys(names, 0)
+    for module in (pipeline, scaffolding):
+        for name in names:
+            real = getattr(module, name)
+
+            def spy(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    runs = []
+    real_run = pipeline._adaptation_run
+
+    def run_spy(config, *args):
+        before = dict(calls)
+        out = real_run(config, *args)
+        runs.append((config.max_iterations, {name: calls[name] - before[name] for name in names}))
+        return out
+
+    monkeypatch.setattr(pipeline, "_adaptation_run", run_spy)
+    source, target = tiny_problem()
+    train_single_target(tiny_config(), source, target)
+    assert len(runs) == 1
+    source, t1, t2 = source_and_two_targets()
+    train_multi_target(tiny_config(max_iterations=80), source, [t1, t2])
+    assert len(runs) >= 3  # part 3 runs once per target, part 1 once per donor
+    for iterations, made in runs:
+        assert made["backward"] == made["sgd_step"] == 2 * iterations
+        assert made["forward"] >= 2 * iterations
 
 
 def test_peer_qualification_runs_once_per_part3_run(monkeypatch):

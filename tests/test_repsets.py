@@ -520,6 +520,8 @@ def test_masked_argmax_weak_pick_matches_plain_ranking(n, k, lam, data):
     row = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=k, max_size=k)
     P = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
     best, hit = repsets._weak_rows(P, lam)
+    given_best, given_hit = repsets._weak_rows(P, lam, P.argmax(1))  # the trainer's shared argmax
+    assert np.array_equal(given_best, best) and np.array_equal(given_hit, hit)
     want = former_weak_picks(P, lam)
     assert np.flatnonzero(hit).tolist() == sorted(want)
     assert all(best[j] == i for j, i in want.items())
@@ -569,6 +571,22 @@ def test_fused_kernel_matches_fuse_with_zero_draws(k, d, seed, draws, data):
     assert [j for j, v in enumerate(fused) if v is not None] == classes.tolist()
     F = np.array([fused[j] for j in classes.tolist()])
     assert F.tobytes() == want.tobytes() == repsets._fused(S, W, mask, QueuedUniform(draws)).tobytes()
+
+
+@pytest.mark.parametrize("draws", [[0.5, 0.25, 0.75], [0.0, 0.5, 0.0, 0.25, 0.75], [0.0, 0.0, 0.0, 0.125, 0.5, 0.875]])
+def test_fused_all_blend_path_equals_general_path(draws):
+    # when every row blends, _fused computes the blend whole; one more row
+    # that does not blend sends the same rows and draws through the general
+    # path, which writes the blended rows into a copy of S
+    rng = np.random.default_rng(9)
+    S, W = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    whole = repsets._fused(S, W, np.ones(3, dtype=bool), QueuedUniform(draws))
+    general = repsets._fused(np.vstack([S, W[:1]]), np.vstack([W, S[:1]]), np.array([1, 1, 1, 0], dtype=bool),
+                             QueuedUniform(draws))
+    assert whole.tobytes() == general[:3].tobytes()
+    assert general[3].tobytes() == W[0].tobytes()
+    r = np.array([v for v in draws if v][:3])
+    assert whole.tobytes() == (r[:, None] * S + (1.0 - r)[:, None] * W).tobytes()
 
 
 # --- serialization ------------------------------------------------------------

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import distance_graph as oracle_distance_graph
 from oracles import peer_qualifies as oracle_peer_qualifies
@@ -376,6 +378,46 @@ def test_replace_with_peers_pools_multiple_peers():
         out = replace_with_peers(own, donors, rng)
         seen.add(float(out.entries[0].x[0]))
     assert seen == {10.0, 20.0}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    pending=st.booleans(),
+    counts=st.lists(st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 2**31)), max_size=12),
+)
+def test_one_array_draw_equals_one_scalar_draw_per_bound(seed, pending, counts):
+    # _draw_donors draws every class's donor with one rng.integers(counts)
+    # call where the per-class loop made one rng.integers(n) call per class;
+    # part 3 reproduces its outputs only while both give the same values and
+    # leave the generator in the same state
+    array_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:  # a 32-bit draw leaves the other half of a 64-bit output buffered
+        array_rng.integers(7)
+        scalar_rng.integers(7)
+    got = array_rng.integers(np.array(counts, dtype=np.int64))
+    assert got.tolist() == [scalar_rng.integers(n) for n in counts]
+    assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_replace_with_peers_draws_as_the_per_class_loop():
+    # the reference is the former rule: per class in order, one scalar draw
+    # over a non-empty donor list, none over an empty one
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        k = int(rng.integers(1, 6))
+        donors = [
+            [(np.array([float(l), float(i)]), int(rng.integers(1, 4))) for i in range(int(rng.integers(0, 4)))]
+            for l in range(k)
+        ]
+        own, seed = _own_strong(k), int(rng.integers(2**32))
+        got, ref_rng = replace_with_peers(own, donors, np.random.default_rng(seed)), np.random.default_rng(seed)
+        for l, union in enumerate(donors):
+            if union:
+                sample, j = union[int(ref_rng.integers(len(union)))]
+                assert np.array_equal(got.entries[l].x, sample) and got.entries[l].domain == f"target{j}"
+            else:
+                assert got.entries[l] is own.entries[l]
 
 
 def test_peer_donors_match_oracle_randomized():
