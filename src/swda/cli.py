@@ -56,6 +56,7 @@ from .scaffolding import (
     centroids_for_domains,
     format_distance_report,
     full_pass,
+    named_faults,
 )
 
 # flat config keys: the fields of NetworkConfig and LossWeights and the
@@ -287,11 +288,8 @@ def cmd_report(args) -> int:
         if params.bottleneck.weight.shape[0] != 2:
             raise ConfigError("feature scatter requires a 2-dimensional bottleneck")
         domain = load_csv(args.scatter_domain)
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                features, probs = full_pass(params, domain.samples)
-        except FloatingPointError as exc:
-            raise DegenerateInputError(f"domain {domain.name!r}: {exc}") from exc
+        with named_faults(f"domain {domain.name!r}"):
+            features, probs = full_pass(params, domain.samples)
         svg = _scatter_svg(features, np.argmax(probs, axis=1))
 
     lines = ["task mean_final_accuracy num_runs"]

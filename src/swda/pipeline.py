@@ -25,7 +25,9 @@ once per run; each iteration draws every class's donor with one
 scaffolding._draw_donors call, and a run without donors makes none.
 
 The trainers validate domains and config once, at their boundary; see
-_adaptation_run for what the loop then leaves unchecked.
+_adaptation_run for what the loop then leaves unchecked. Each run is a
+scaffolding.TrainingRun whose step is (1), and runs whole, its end
+included, inside the run's one scaffolding.named_faults boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 from .config import (
     STREAM_FUSION,
     STREAM_PEER,
-    STREAM_SOURCE,
     STREAM_TARGET,
     BatchSampler,
     ExperimentConfig,
@@ -49,14 +50,14 @@ from .config import (
     stream_rng,
 )
 from .datasets import Domain
-from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError
+from .errors import InvalidDatasetError, InvalidInputError
 from .losses import _adversarial_logit, _info_max, _strong_weak
 from .mathutils import serial_blas
-from .network import NetworkParams, backward, forward, init_params, sgd_step
+from .network import NetworkParams, backward, forward, sgd_step
 from .repsets import _fused, _weak_rows, harvest_pseudo_strong, update_strong_set
 from .scaffolding import (
-    ClampCount,
     DistanceGraph,
+    TrainingRun,
     _donor_table,
     _donors,
     _draw_donors,
@@ -69,7 +70,6 @@ from .scaffolding import (
     evaluate,
     full_pass,
     peer_masks,
-    source_step,
     train_source_only,
 )
 
@@ -115,7 +115,6 @@ def _check_domains(config: ExperimentConfig, source: Domain, targets: list) -> N
 
 
 @serial_blas()
-@np.errstate(over="raise", invalid="raise", divide="raise")
 def _adaptation_run(
     config: ExperimentConfig,
     source: Domain,
@@ -124,7 +123,7 @@ def _adaptation_run(
 ):
     """One adaptation run on domains _check_domains accepts; donors[l] holds
     the (sample, peer slot) pairs that may replace the class-l strong entry
-    (see peer_donors), and a run without peers passes [].
+    (see scaffolding._donors), and a run without peers passes [].
 
     Nothing inside the loop re-checks what _check_domains and the config
     dataclasses checked: the losses, the weak-set pick and the fusion run
@@ -133,14 +132,11 @@ def _adaptation_run(
     forward still rejects zero-norm features and non-finite logits."""
     w = config.weights
     k = config.network.num_classes
-    params = init_params(config.network, config.seed)
-    velocity = np.zeros_like(params.flat)
-    grads = params.with_flat(np.empty_like(params.flat))  # both steps' backward writes here
-    src_sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
+    run = TrainingRun(config, source, f"target {target.name!r}")
+    params, velocity, grads = run.params, run.velocity, run.grads  # both steps' backward writes into grads
     tgt_sampler = BatchSampler(target.n, config.batch_size, stream_rng(config.seed, STREAM_TARGET))
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
     peer_rng = stream_rng(config.seed, STREAM_PEER)
-    clamps = ClampCount()
     swaps = any(donors)
     if swaps:  # every donor row, stacked once
         classes, pairs, starts, counts = _donor_table(donors)
@@ -153,11 +149,10 @@ def _adaptation_run(
     has_weak = np.zeros(k, dtype=bool)
     metrics = RunMetrics([], [], [], [], [], [], None)
 
-    try:
+    with run.faults():
         for it in range(config.max_iterations):
             # (1) supervised step on the source
-            q = it / config.max_iterations
-            ce, lr_head, lr_gen = source_step(config, params, velocity, grads, source, src_sampler, q, clamps)
+            ce, lr_head, lr_gen = run.step(it / config.max_iterations)
 
             # (2) fused strong-weak rows once the strong set exists; each
             # iteration re-draws peer replacements so no single draw
@@ -218,16 +213,12 @@ def _adaptation_run(
                 metrics.accuracy_iterations.append(it + 1)
                 acc = evaluate(params, target) if full is None else accuracy(full, target.labels)
                 metrics.accuracy_series.append(acc)
-    except (FloatingPointError, DegenerateInputError) as exc:
-        raise DegenerateInputError(f"target {target.name!r}, iteration {it + 1}: {exc}") from exc
-    finally:
-        clamps.report(f"target {target.name!r}")
 
-    if full is None:  # the parameters moved since the last refresh
-        full = full_pass(params, target.samples, features=False)[1]
-    if target.labels is not None:
-        metrics.final_accuracy = accuracy(full, target.labels)
-    pseudo = harvest_pseudo_strong(target.samples, full, w.lam)
+        if full is None:  # the parameters moved since the last refresh
+            full = full_pass(params, target.samples, features=False)[1]
+        if target.labels is not None:
+            metrics.final_accuracy = accuracy(full, target.labels)
+        pseudo = harvest_pseudo_strong(target.samples, full, w.lam)
     return params, metrics, pseudo
 
 

@@ -1,8 +1,9 @@
 """Multi-target scaffolding: source-only pretraining, the class-wise
 distance graph between domain centroids, the two peer criteria, and
-strong-set replacement from qualifying peer domains. The supervised
-source step, the accuracy check and full_pass, the pass over a whole
-domain in row blocks, live here too; both trainers use them.
+strong-set replacement from qualifying peer domains. Both trainers use
+the rest: TrainingRun, every run's state and source step; named_faults,
+the one fault boundary of a run or a whole-domain pass; full_pass, that
+pass in row blocks; and accuracy.
 
 The distance graph is a (N+1) x (N+1) x k tensor of cosine distances
 between per-class centroids, computed once from a source-only network and
@@ -17,6 +18,7 @@ target that qualifies for no one is no donor, and part 1 skips it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 
 from .config import STREAM_SOURCE, ExperimentConfig, BatchSampler, stream_rng
 from .datasets import Domain
-from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError, NotInitializedError
+from .errors import DegenerateInputError, InvalidDatasetError, InvalidInputError, NotInitializedError, SwdaError
 from .losses import _cross_entropy
 from .mathutils import BLOCK_ROWS, Array, as_float_array, column_fsums, cosine_distances, row_norms, serial_blas
 from .network import (
@@ -122,46 +124,78 @@ def accuracy(probs: Array, labels: Array) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-class ClampCount:
-    """Cross-entropy clamps (see losses.cross_entropy) over one trainer run,
-    reported in one line at its end instead of one per iteration."""
-
-    def __init__(self):
-        self.entries = self.iterations = 0
-
-    def add(self, clamped: int) -> None:
-        self.entries += clamped
-        self.iterations += clamped > 0
-
-    def report(self, run: str) -> None:
-        if self.entries:
-            log.warning(
-                "%s: cross_entropy clamped %d zero-probability entries over %d iterations",
-                run,
-                self.entries,
-                self.iterations,
-            )
+@contextlib.contextmanager
+def named_faults(where):
+    """The one fault boundary, entered once around a whole trainer run or
+    full-domain pass: inside it numpy overflow, invalid and divide-by-zero
+    raise, a FloatingPointError becomes a DegenerateInputError, and any
+    SwdaError keeps its class, and so its exit code. Either message is
+    prefixed with str(where), taken when the fault happens, so a run can
+    name the iteration it had reached."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DegenerateInputError(f"{where}: {exc}") from exc
+    except SwdaError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
-def source_step(
-    config: ExperimentConfig, params, velocity, grads, source: Domain, sampler: BatchSampler, q: float, clamps: ClampCount
-):
-    """The supervised half of every iteration: a cross-entropy step on the
-    next source batch at training progress q, with its gradients written
-    into the tree ``grads`` and its clamped entries added to ``clamps``.
-    Returns (cross-entropy value, head learning rate, generator learning
-    rate)."""
-    lr_head, lr_gen = lr_schedule(q, config.eta0_head), lr_schedule(q, config.eta0_generator)
-    idx = sampler.next_batch()
-    fwd = forward(params, source.samples[idx])
-    ce, grad, clamped = _cross_entropy(fwd.probs, source.labels[idx])
-    clamps.add(clamped)
-    sgd_step(params, backward(params, fwd, grad, out=grads), velocity, lr_head, lr_gen)
-    return ce, lr_head, lr_gen
+class TrainingRun:
+    """What every trainer run builds: parameters, momentum, the gradient
+    tree every backward pass of the run writes into, the source batch
+    sampler, the iteration count and the cross-entropy clamp counts (see
+    losses.cross_entropy). str(run) is the run's name and iteration."""
+
+    def __init__(self, config: ExperimentConfig, source: Domain, name: str):
+        self.config, self.source, self.name = config, source, name
+        self.params = init_params(config.network, config.seed)
+        self.velocity = np.zeros_like(self.params.flat)
+        self.grads = self.params.with_flat(np.empty_like(self.params.flat))
+        self.sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
+        self.iteration = 0  # iterations begun
+        self.clamped = self.clamped_iterations = 0
+
+    def __str__(self) -> str:
+        return f"{self.name}, iteration {self.iteration}"
+
+    def step(self, q: float):
+        """Begin the next iteration with its supervised half: a
+        cross-entropy step on the next source batch at training progress q.
+        A fault of the batch's forward pass names the source. Returns
+        (cross-entropy value, head learning rate, generator learning rate)."""
+        self.iteration += 1
+        lr_head, lr_gen = lr_schedule(q, self.config.eta0_head), lr_schedule(q, self.config.eta0_generator)
+        idx = self.sampler.next_batch()
+        try:  # numpy raises here: the run's named_faults set errstate
+            fwd = forward(self.params, self.source.samples[idx])
+        except (FloatingPointError, DegenerateInputError) as exc:
+            raise DegenerateInputError(f"source {self.source.name!r}: {exc}") from exc
+        ce, grad, clamped = _cross_entropy(fwd.probs, self.source.labels[idx])
+        self.clamped += clamped
+        self.clamped_iterations += clamped > 0
+        sgd_step(self.params, backward(self.params, fwd, grad, out=self.grads), self.velocity, lr_head, lr_gen)
+        return ce, lr_head, lr_gen
+
+    @contextlib.contextmanager
+    def faults(self):
+        """named_faults(self) around the whole run; then the run's clamps in
+        one line, whether it ends or fails, instead of one per iteration."""
+        try:
+            with named_faults(self):
+                yield
+        finally:
+            if self.clamped:
+                log.warning(
+                    "%s: cross_entropy clamped %d zero-probability entries over %d iterations",
+                    self.name,
+                    self.clamped,
+                    self.clamped_iterations,
+                )
 
 
 @serial_blas()
-@np.errstate(over="raise", invalid="raise", divide="raise")
 def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams:
     """Cross-entropy training on the labeled source with early stopping.
 
@@ -171,36 +205,18 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
     """
     check_source_classes(source, config.network.num_classes)
     budget = config.max_iterations if config.source_iterations is None else config.source_iterations
-    params = init_params(config.network, config.seed)
-    best_params = params.copy()
-    if budget == 0:
-        return best_params
-    velocity = np.zeros_like(params.flat)
-    grads = params.with_flat(np.empty_like(params.flat))
-    sampler = BatchSampler(source.n, config.batch_size, stream_rng(config.seed, STREAM_SOURCE))
-    clamps = ClampCount()
-
-    best_acc = -1.0
-    consecutive_drops = 0
-    try:
+    run = TrainingRun(config, source, "source-only training")
+    best_params, best_acc, drops = run.params.copy(), -1.0, 0  # drops: consecutive checks below the best
+    with run.faults():
         for it in range(budget):
-            source_step(config, params, velocity, grads, source, sampler, it / budget, clamps)
+            run.step(it / budget)
             if (it + 1) % SOURCE_EVAL_PERIOD == 0:
-                acc = evaluate(params, source)
+                acc = evaluate(run.params, source)
                 if acc > best_acc:
-                    best_acc = acc
-                    best_params = params.copy()
-                    consecutive_drops = 0
-                elif acc < best_acc:
-                    consecutive_drops += 1
-                    if consecutive_drops >= 2:
-                        break
-                else:
-                    consecutive_drops = 0
-    except (FloatingPointError, DegenerateInputError) as exc:
-        raise DegenerateInputError(f"source-only training, iteration {it + 1}: {exc}") from exc
-    finally:
-        clamps.report("source-only training")
+                    best_params, best_acc = run.params.copy(), acc
+                drops = drops + 1 if acc < best_acc else 0
+                if drops == 2:
+                    break
     return best_params
 
 
@@ -217,17 +233,14 @@ def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
 
 
 def centroids_for_domains(params: NetworkParams, domains: list) -> DomainCentroids:
-    """Each domain's compute_domain_centroids; features that overflow the
-    network are a DegenerateInputError naming the domain, as in training."""
+    """Each domain's compute_domain_centroids, inside named_faults for that
+    domain: a failure of its pass names the domain, as in training."""
     cents, masks = [], []
     for dom in domains:
         if dom.n == 0:
             raise InvalidDatasetError(f"domain {dom.name!r} is empty")
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                C, valid = compute_domain_centroids(params, dom.samples)
-        except FloatingPointError as exc:
-            raise DegenerateInputError(f"domain {dom.name!r}: {exc}") from exc
+        with named_faults(f"domain {dom.name!r}"):
+            C, valid = compute_domain_centroids(params, dom.samples)
         for j in np.flatnonzero(~valid):
             log.warning("domain %r: class %d has zero probability mass; centroid marked unusable", dom.name, j)
         cents.append(C)
@@ -308,25 +321,21 @@ def donor_slots(masks: Array) -> list:
 
 
 def _donors(qualifies: Array, peers: dict) -> list:
-    """peer_donors for a target whose (peer, class) mask is qualifies."""
+    """Per class l, the (sample, j) pairs that may replace the class-l
+    strong entry of the target whose (peer, class) mask, a _qualifying
+    result, is qualifies: every class-l pool sample of every peer j that
+    qualifies for class l, in slot order, then pool order. peers maps graph
+    slot j (>= 1) to that target's PseudoStrongSet; the graph and the pools
+    are frozen before part 3, so one call serves a whole run."""
     return [
         [(sample, j) for j in sorted(peers) if qualifies[j, l] for sample in peers[j].pools[l]]
         for l in range(qualifies.shape[1])
     ]
 
 
-def peer_donors(G: DistanceGraph, i: int, peers: dict) -> list:
-    """Per class l, the (sample, j) pairs that may replace target i's
-    class-l strong entry: every class-l pool sample of every peer j != i
-    that qualifies for class l, in slot order, then pool order. peers maps
-    graph slot j (>= 1) to that target's PseudoStrongSet; the graph and
-    the pools are frozen before part 3, so one call serves a whole run."""
-    return _donors(_qualifying(G, i), peers)
-
-
 def _donor_table(donors: list) -> tuple:
     """(classes, pairs, starts, counts): the classes l with a non-empty
-    donors[l] (see peer_donors), ascending; those lists concatenated; and
+    donors[l] (see _donors), ascending; those lists concatenated; and
     where each class's list starts in pairs, and its length."""
     classes = [l for l, union in enumerate(donors) if union]
     counts = np.array([len(donors[l]) for l in classes], dtype=np.int64)
@@ -342,7 +351,7 @@ def _draw_donors(starts: Array, counts: Array, rng: np.random.Generator) -> Arra
 
 def replace_with_peers(own_strong: StrongSet, donors: list, rng: np.random.Generator) -> StrongSet:
     """Per class, swap the strong entry for a pair of donors[l] (see
-    peer_donors) drawn by _draw_donors; classes with an empty donor list,
+    _donors) drawn by _draw_donors; classes with an empty donor list,
     or past the end of donors, keep their own entry object."""
     if not own_strong.populated:
         raise NotInitializedError("own strong set is empty; nothing to replace")

@@ -1600,6 +1600,66 @@ def test_features_overflowing_the_network_exit_3_naming_the_domain(tmp_path, cap
     assert not out.exists() and not (tmp_path / "scatter.svg").exists()
 
 
+def _fault_argv(tmp_path, case):
+    """argv of a command that fails inside a run or a full-domain pass."""
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(40, 4)), rng.normal(size=(40, 4))
+    labels = np.arange(40) % 3
+    if case in ("source-step", "empty-class"):
+        if case == "source-step":
+            a[7] = 0.0  # the zero biases at init give this row a zero-norm feature in the first batch
+            names, cfg = ("src0", "tgt0"), {}
+        else:
+            names, cfg = ("s", "t"), {
+                "generator_hidden_dims": [8], "bottleneck_dim": 4, "tau": 2000.0, "batch_size": 8,
+                "max_iterations": 40, "eta0_head": 0.5, "eta0_generator": 0.5, "strong_refresh_period": 10, "seed": 1,
+            }
+        save_csv(swda.Domain(names[0], a, labels), tmp_path / f"{names[0]}.csv")
+        save_csv(swda.Domain(names[1], b), tmp_path / f"{names[1]}.csv")
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        return ["train-single", "--config", str(tmp_path / "c.json"), "--source", str(tmp_path / f"{names[0]}.csv"),
+                "--target", str(tmp_path / f"{names[1]}.csv"), "--out", str(tmp_path / "out")]
+    kind, command = case.split("/")
+    net = tmp_path / "net.txt"
+    ckpt.save_params(net, init_params(NetworkConfig(input_dim=4, num_classes=3, bottleneck_dim=2), seed=0))
+    save_csv(swda.Domain("good", a, labels), tmp_path / "good.csv")
+    save_csv(swda.Domain("good2", b), tmp_path / "good2.csv")
+    if kind == "zero-norm":
+        bad = tmp_path / "zero.csv"
+        b[3] = 0.0  # with the checkpoint's zero biases, a zero-norm feature row
+        save_csv(swda.Domain("zero", b), bad)
+    else:
+        bad = tmp_path / "wide.csv"
+        save_csv(swda.Domain("wide", rng.normal(size=(40, 5))), bad)
+    if command == "distance-graph":
+        domains = [str(tmp_path / "good.csv"), str(tmp_path / "good2.csv"), str(bad)]
+        return ["distance-graph", "--checkpoint", str(net), "--domains", *domains, "--out", str(tmp_path / "g.txt")]
+    (tmp_path / "runs" / "r0").mkdir(parents=True)
+    (tmp_path / "runs" / "r0" / "metrics.json").write_text(json.dumps({"final_accuracy": 0.5}))
+    return ["report", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "summary.txt"),
+            "--scatter-checkpoint", str(net), "--scatter-domain", str(bad), "--scatter-out", str(tmp_path / "s.svg")]
+
+
+@pytest.mark.parametrize(
+    "case, code, prefix",
+    [
+        ("source-step", 3, "target 'tgt0', iteration 1: source 'src0': a bottleneck feature row has zero norm"),
+        ("empty-class", 3, "target 't', iteration 10: class 1 has zero total probability mass"),
+        ("zero-norm/distance-graph", 3, "domain 'zero': a bottleneck feature row has zero norm"),
+        ("zero-norm/report", 3, "domain 'zero': a bottleneck feature row has zero norm"),
+        ("width/distance-graph", 2, "domain 'wide': inputs have 5 columns, network expects 4"),
+        ("width/report", 2, "domain 'wide': inputs have 5 columns, network expects 4"),
+    ],
+)
+def test_fault_in_a_run_or_pass_names_where_it_happened(tmp_path, capsys, case, code, prefix):
+    # every failure inside a trainer loop or a full-domain pass keeps its
+    # exit code and names its run and iteration, the source of a source
+    # step, or its domain
+    assert main(_fault_argv(tmp_path, case)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1 and "unexpected" not in err, err
+
+
 def test_train_multi_jobs_below_one_exit_2(tmp_path, capsys):
     write_dataset(tmp_path)
     cfg_path, _ = write_config(tmp_path)

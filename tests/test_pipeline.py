@@ -27,7 +27,7 @@ from swda.pipeline import (
     train_multi_target,
     train_single_target,
 )
-from swda.scaffolding import donor_slots, peer_donors, peer_masks, train_source_only
+from swda.scaffolding import _donors, _qualifying, donor_slots, peer_masks, train_source_only
 
 
 def tiny_problem(seed: int = 0, shift: bool = True):
@@ -219,7 +219,7 @@ def test_part3_run_with_donors_replaces_every_iteration_after_a_refresh(monkeypa
     source, t1, t2 = source_and_two_targets()
     cfg = tiny_config(max_iterations=80)
     result = train_multi_target(cfg, source, [t1, t2])
-    donor_runs = sum(any(peer_donors(result.graph, slot, result.pseudo_sets)) for slot in (1, 2))
+    donor_runs = sum(any(_donors(_qualifying(result.graph, slot), result.pseudo_sets)) for slot in (1, 2))
     assert donor_runs >= 1
     assert len(calls) == donor_runs * (cfg.max_iterations - cfg.strong_refresh_period)
     assert all(counts and min(counts) >= 1 for counts in calls)
@@ -379,7 +379,7 @@ def test_skipping_part1_leaves_every_part3_output_unchanged(monkeypatch):
     every_pool = {slot: pipeline._part1_task((cfg, source, t, slot)) for slot, t in enumerate(targets, start=1)}
     for slot, (t, (params, metrics)) in enumerate(zip(targets, result.per_target), start=1):
         want_params, want_metrics = pipeline._part3_task(
-            (cfg, source, t, slot, peer_donors(result.graph, slot, every_pool))
+            (cfg, source, t, slot, _donors(_qualifying(result.graph, slot), every_pool))
         )
         assert params_equal(params, want_params)
         assert metrics_to_json(metrics) == metrics_to_json(want_metrics)

@@ -8,22 +8,23 @@ from hypothesis import strategies as st
 
 from oracles import distance_graph as oracle_distance_graph
 from oracles import peer_qualifies as oracle_peer_qualifies
-from swda import scaffolding
+from swda import pipeline, scaffolding
 from swda.config import ExperimentConfig
 from swda.datasets import Domain, generate, standard_shift_spec
-from swda.errors import InvalidDatasetError, InvalidInputError, NotInitializedError
+from swda.errors import DegenerateInputError, InvalidDatasetError, InvalidInputError, NotInitializedError
 from swda.network import Linear, NetworkConfig, ParamTree, forward, init_params
 from swda.pipeline import train_single_target
 from swda.repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
 from swda.scaffolding import (
     DistanceGraph,
     DomainCentroids,
+    _donors,
+    _qualifying,
     build_distance_graph,
     centroids_for_domains,
     check_source_classes,
     compute_domain_centroids,
     format_distance_report,
-    peer_donors,
     peer_qualifies,
     qualifying_fraction,
     replace_with_peers,
@@ -118,6 +119,42 @@ def test_train_source_only_keeps_best_check_and_stops_after_two_drops(monkeypatc
     assert len(seen) == 6
     assert np.array_equal(params.flat, seen[1])
     assert not np.array_equal(seen[1], seen[3])  # the tie did not replace the best
+
+
+@pytest.mark.parametrize(
+    "trainer, call, raised, caught, prefix",
+    [
+        ("source-only", 7, FloatingPointError, DegenerateInputError, "source-only training, iteration 7: source 's': "),
+        ("single", 13, FloatingPointError, DegenerateInputError, "target 't', iteration 7: source 's': "),
+        ("single", 14, FloatingPointError, DegenerateInputError, "target 't', iteration 7: "),
+        ("single", 14, InvalidInputError, InvalidInputError, "target 't', iteration 7: "),
+    ],
+)
+def test_a_fault_inside_a_run_names_the_run_and_iteration(monkeypatch, trainer, call, raised, caught, prefix):
+    # forward raises on its call-th call. Each iteration makes a source step
+    # (scaffolding's binding) and, when adapting, a target step (pipeline's);
+    # no evaluation or refresh falls in the first 7 iterations. A numpy fault
+    # becomes a DegenerateInputError, a package error keeps its class, and a
+    # fault in a source step's forward pass also names the source
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        if len(calls) == call:
+            raise raised("injected")
+        return forward(*args)
+
+    monkeypatch.setattr(scaffolding, "forward", spy)
+    monkeypatch.setattr(pipeline, "forward", spy)
+    rng = np.random.default_rng(0)
+    source = Domain("s", rng.normal(size=(40, 4)), np.arange(40) % 3)
+    cfg = ExperimentConfig(NET, batch_size=8, max_iterations=40, strong_refresh_period=20)
+    with pytest.raises(caught) as exc:
+        if trainer == "source-only":
+            train_source_only(cfg, source)
+        else:
+            train_single_target(cfg, source, Domain("t", rng.normal(size=(40, 4))))
+    assert str(exc.value) == prefix + "injected"
 
 
 # --- centroids and the distance graph -----------------------------------------
@@ -319,7 +356,7 @@ def test_replace_with_peers_swaps_only_qualifying_classes():
     G = graph_from_distances([0.07, 0.30], [0.20, 0.20], [0.16, 0.10])
     own = _own_strong(2)
     peers = {1: PseudoStrongSet([[np.array([9.0, 9.0])], [np.array([7.0, 7.0])]])}
-    out = replace_with_peers(own, peer_donors(G, 2, peers), np.random.default_rng(0))
+    out = replace_with_peers(own, _donors(_qualifying(G, 2), peers), np.random.default_rng(0))
     assert np.array_equal(out.entries[0].x, [9.0, 9.0])  # class 0 qualified
     assert out.entries[0].domain == "target1"
     assert np.array_equal(out.entries[1].x, [1.0, 1.0])  # class 1 kept its own
@@ -331,7 +368,7 @@ def test_replace_with_peers_swaps_only_qualifying_classes():
 def test_replace_with_peers_skips_empty_pools():
     G = graph_from_distances([0.07], [0.20], [0.16])
     own = _own_strong(1)
-    donors = peer_donors(G, 2, {1: PseudoStrongSet([[]])})
+    donors = _donors(_qualifying(G, 2), {1: PseudoStrongSet([[]])})
     assert donors == [[]]
     out = replace_with_peers(own, donors, np.random.default_rng(0))
     assert out.entries[0] is own.entries[0]
@@ -340,7 +377,7 @@ def test_replace_with_peers_skips_empty_pools():
 def test_replace_with_peers_requires_populated_set():
     G = graph_from_distances([0.07], [0.20], [0.16])
     with pytest.raises(NotInitializedError):
-        replace_with_peers(StrongSet([None]), peer_donors(G, 2, {}), np.random.default_rng(0))
+        replace_with_peers(StrongSet([None]), _donors(_qualifying(G, 2), {}), np.random.default_rng(0))
 
 
 def test_replace_with_peers_uniform_over_pool():
@@ -348,7 +385,7 @@ def test_replace_with_peers_uniform_over_pool():
     G = graph_from_distances([0.07], [0.20], [0.16])
     own = _own_strong(1)
     pool = [np.array([float(v), 0.0]) for v in range(4)]
-    donors = peer_donors(G, 2, {1: PseudoStrongSet([pool])})
+    donors = _donors(_qualifying(G, 2), {1: PseudoStrongSet([pool])})
     rng = np.random.default_rng(42)
     counts = np.zeros(4)
     for _ in range(10000):
@@ -371,7 +408,7 @@ def test_replace_with_peers_pools_multiple_peers():
         1: PseudoStrongSet([[np.array([10.0, 0.0])]]),
         2: PseudoStrongSet([[np.array([20.0, 0.0])]]),
     }
-    donors = peer_donors(G, 3, peers)
+    donors = _donors(_qualifying(G, 3), peers)
     seen = set()
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -442,7 +479,7 @@ def test_peer_donors_match_oracle_randomized():
             for j in range(1, M)
             if rng.uniform() > 0.1
         }
-        donors = peer_donors(G, i, peers)
+        donors = _donors(_qualifying(G, i), peers)
         assert len(donors) == k
         for l in range(k):
             expect = [
