@@ -8,7 +8,7 @@ Format: a header line, then repeated blocks of
 where kind is f64 or i64. Floats are written with float.hex so a
 save/load round trip reproduces every 64-bit value exactly. The format
 stores named flat arrays. Every key layout lives here: helpers map
-NetworkParams to and from it, and a PseudoStrongSet to it.
+NetworkParams to and from it, and the pseudo strong pools to it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .datasets import names_its_file, read_utf8
 from .errors import InvalidInputError, ParseError
 from .network import Linear, NetworkParams, ParamTree
-from .repsets import PseudoStrongSet
 
 HEADER = "swda-checkpoint 1"
 _VALUES_PER_LINE = 6
@@ -123,11 +122,11 @@ def params_to_arrays(params: NetworkParams) -> dict:
     return out
 
 
-def pseudo_to_arrays(pseudo: PseudoStrongSet) -> dict:
-    out = {"pseudo.k": np.array(len(pseudo.pools), dtype=np.int64)}
-    for j, pool in enumerate(pseudo.pools):
-        if pool:
-            out[f"pseudo.{j}"] = np.stack(pool)
+def pseudo_to_arrays(pools: list) -> dict:
+    """harvest_pseudo_strong's per-class row matrices under pseudo.<class>,
+    an empty one under none, and their count under pseudo.k."""
+    out = {"pseudo.k": np.array(len(pools), dtype=np.int64)}
+    out.update((f"pseudo.{j}", pool) for j, pool in enumerate(pools) if len(pool))
     return out
 
 

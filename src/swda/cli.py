@@ -4,9 +4,9 @@ Commands: generate, train-single, train-multi, distance-graph, report.
 Hyper-parameters come from one flat JSON config file rather than flags so
 the exact configuration is echoed into every metrics document. Exit
 codes: 0 success, 2 configuration or input error, 3 numerical failure.
-Every command names the files it writes and the directories it makes to
-_check_outputs before it reads any input, so an output that cannot be
-written exits 2 before any work rather than after it.
+Every command names its outputs and inputs to _check_outputs before it
+reads any input, so an output that cannot be written, or would replace
+an input, exits 2 before any work rather than after it.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def _config_echo(cfg: dict, config: ExperimentConfig, source: Domain, target: Do
 
 
 # the files a training run writes to its directory, and the harvested
-# pseudo strong set that train-single writes beside them
+# pseudo strong pools that train-single writes beside them
 _RUN_FILES = ("metrics.json", "loss_curves.csv", "checkpoint.txt")
 _PSEUDO_FILE = "pseudo_strong.txt"
 # the files train-multi writes to --out itself
@@ -189,10 +189,10 @@ def _write_run_outputs(out_dir: Path, params, metrics, echo: dict, pseudo=None) 
 def cmd_generate(args) -> int:
     out = Path(args.out)
     manifest = out / "manifest.json"
-    _check_outputs([manifest], [out])
+    _check_outputs([manifest], [out], [args.spec])
     domains = generate(spec_from_dict(_load_json(args.spec)))
     files = [f"{dom.name}.csv" for dom in domains]
-    _check_outputs([manifest, *(out / name for name in files)], [out])
+    _check_outputs([manifest, *(out / name for name in files)], [out], [args.spec])
     out.mkdir(parents=True, exist_ok=True)
     for dom, name in zip(domains, files):
         save_csv(dom, out / name)
@@ -203,7 +203,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train_single(args) -> int:
     out = Path(args.out)
-    _check_outputs([out / name for name in (*_RUN_FILES, _PSEUDO_FILE)], [out])
+    _check_outputs([out / name for name in (*_RUN_FILES, _PSEUDO_FILE)], [out], [args.config, args.source, args.target])
     cfg, source, config = _load_run(args)
     target = load_csv(args.target)
     params, metrics, pseudo = train_single_target(config, source, target)
@@ -230,6 +230,7 @@ def cmd_train_multi(args) -> int:
     _check_outputs(
         [*(out / name / f for name in names for f in _RUN_FILES), *(out / name for name in _MULTI_FILES)],
         [out, *(out / name for name in names)],
+        [args.config, args.source, *args.targets],
     )
     cfg, source, config = _load_run(args)
     targets = [load_csv(p) for p in args.targets]
@@ -247,7 +248,7 @@ def cmd_train_multi(args) -> int:
 def cmd_distance_graph(args) -> int:
     if len(args.domains) < 2:
         raise InvalidInputError("need at least 2 domain files (source first)")
-    _check_outputs([args.out])
+    _check_outputs([args.out], (), [args.checkpoint, *args.domains])
     params = ckpt.load_params(args.checkpoint)
     domains = [load_csv(p) for p in args.domains]
     graph = build_distance_graph(centroids_for_domains(params, domains))
@@ -264,9 +265,10 @@ def cmd_report(args) -> int:
     scatter = (args.scatter_checkpoint, args.scatter_domain, args.scatter_out)
     if any(scatter) and not all(scatter):
         raise ConfigError("--scatter-checkpoint, --scatter-domain and --scatter-out must be given together")
-    _check_outputs([out for out in (args.out, args.scatter_out) if out is not None])
     runs_dir = Path(args.runs)
-    metric_files = sorted(runs_dir.rglob("metrics.json"))
+    metric_files = sorted(runs_dir.rglob("metrics.json"))  # a directory listing: no file is read yet
+    given = [path for path in scatter if path is not None]  # all three or none
+    _check_outputs([args.out, *given[2:]], (), [*metric_files, *given[:2]])
     if not metric_files:
         raise InvalidInputError(f"no metrics.json files under {runs_dir}")
     groups: dict = {}
@@ -304,16 +306,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _check_outputs(files, dirs=()) -> None:
+def _check_outputs(files, dirs=(), inputs=()) -> None:
     """Reject, before any input is read, a command's outputs that cannot all
-    be written: one path named twice, under any spelling (the second write
-    would replace the first), a directory to make below an existing
-    non-directory, or a file that is an existing directory or lies in a
-    directory that neither exists nor is among dirs."""
+    be written or would replace a file: a path named, under any spelling,
+    by two outputs or by an output and one of inputs, the files the
+    command reads; a directory to make below an existing non-directory; or
+    a file that is an existing directory or lies in a directory that
+    neither exists nor is among dirs."""
     files, dirs = [Path(f) for f in files], [Path(d) for d in dirs]
-    seen = set()
+    read, seen = {os.path.realpath(path) for path in inputs}, set()
     for path in dirs + files:
         real = os.path.realpath(path)
+        if real in read:
+            raise InvalidInputError(f"{path}: named by an input and an output")
         if real in seen:
             raise InvalidInputError(f"{path}: named by two outputs")
         seen.add(real)

@@ -20,9 +20,10 @@ memory follows what it keeps, not a block's backward cache. When the
 last iteration refreshed, the end of the run scores and harvests from
 that pass; otherwise it makes one more that keeps only probabilities.
 Step (2) first swaps each class's strong entry for a sample drawn from
-that class's peer donors. Only multi-target part 3 has donors, stacked
-once per run; each iteration draws every class's donor with one
-scaffolding._draw_donors call, and a run without donors makes none.
+that class's peer donors. Only multi-target part 3 has donors, one
+scaffolding._donor_table of stacked rows per run; each iteration draws
+every class's donor row with one scaffolding._draw_donors call, and a
+run without donors (table None) makes none.
 
 The trainers validate domains and config once, at their boundary; see
 _adaptation_run for what the loop then leaves unchecked. Each run is a
@@ -59,7 +60,6 @@ from .scaffolding import (
     DistanceGraph,
     TrainingRun,
     _donor_table,
-    _donors,
     _draw_donors,
     accuracy,
     build_distance_graph,
@@ -119,11 +119,12 @@ def _adaptation_run(
     config: ExperimentConfig,
     source: Domain,
     target: Domain,
-    donors: list,
+    donors,
+    name: str,
 ):
-    """One adaptation run on domains _check_domains accepts; donors[l] holds
-    the (sample, peer slot) pairs that may replace the class-l strong entry
-    (see scaffolding._donors), and a run without peers passes [].
+    """One adaptation run, named name in its messages, on domains
+    _check_domains accepts; donors is the scaffolding._donor_table of the
+    peer rows that may replace strong entries, or None for a run without.
 
     Nothing inside the loop re-checks what _check_domains and the config
     dataclasses checked: the losses, the weak-set pick and the fusion run
@@ -132,15 +133,13 @@ def _adaptation_run(
     forward still rejects zero-norm features and non-finite logits."""
     w = config.weights
     k = config.network.num_classes
-    run = TrainingRun(config, source, f"target {target.name!r}")
+    run = TrainingRun(config, source, name)
     params, velocity, grads = run.params, run.velocity, run.grads  # both steps' backward writes into grads
     tgt_sampler = BatchSampler(target.n, config.batch_size, stream_rng(config.seed, STREAM_TARGET))
     fusion_rng = stream_rng(config.seed, STREAM_FUSION)
     peer_rng = stream_rng(config.seed, STREAM_PEER)
-    swaps = any(donors)
-    if swaps:  # every donor row, stacked once
-        classes, pairs, starts, counts = _donor_table(donors)
-        D = np.array([sample for sample, _ in pairs])
+    if donors is not None:
+        classes, D, _, starts, counts = donors
     g_cls = np.empty((min(config.batch_size, target.n) + k, k))  # logit gradients; an iteration uses m = len(rows) rows
     g_feat = np.empty_like(g_cls)
 
@@ -162,7 +161,7 @@ def _adaptation_run(
             if S is None:
                 rows = batch
             else:
-                if swaps:
+                if donors is not None:
                     S[classes] = D[_draw_donors(starts, counts, peer_rng)]
                 rows = np.concatenate([batch, _fused(S, W, has_weak, fusion_rng)])
 
@@ -231,31 +230,32 @@ def _refresh(params: NetworkParams, target: Domain):
 
 def train_single_target(config: ExperimentConfig, source: Domain, target: Domain):
     """Adaptation to one unlabeled target; returns (params, metrics,
-    harvested pseudo strong set)."""
+    pseudo strong pools), the pools as harvest_pseudo_strong's per-class
+    row matrices."""
     _check_domains(config, source, [target])
     _warn_if_no_strong_set(config)
-    return _adaptation_run(config, source, target, [])
+    return _adaptation_run(config, source, target, None, f"target {target.name!r}")
 
 
 @dataclass
 class MultiTargetResult:
     per_target: list  # [(NetworkParams, RunMetrics)] in input target order
     graph: DistanceGraph
-    pseudo_sets: dict  # donor slot -> PseudoStrongSet from part 1; other targets run no part 1
+    pseudo_sets: dict  # donor slot -> part 1's pools, per class an (m, d) row matrix; other targets run no part 1
     source_params: NetworkParams
 
 
 def _part1_task(args):
     config, source, target, slot = args
     cfg = replace(config, seed=derive_seed(config.seed, _TAG_PART1, slot))
-    _, _, pseudo = _adaptation_run(cfg, source, target, [])
+    _, _, pseudo = _adaptation_run(cfg, source, target, None, f"part 1, target {target.name!r}")
     return pseudo
 
 
 def _part3_task(args):
     config, source, target, slot, donors = args
     cfg = replace(config, seed=part3_seed(config.seed, slot - 1))
-    params, metrics, _ = _adaptation_run(cfg, source, target, donors)
+    params, metrics, _ = _adaptation_run(cfg, source, target, donors, f"part 3, target {target.name!r}")
     return params, metrics
 
 
@@ -338,11 +338,12 @@ def train_multi_target(
     """Three-part multi-target adaptation, run in the order 2, 1, 3.
 
     Part 2 trains a source-only network and builds the frozen class-wise
-    distance graph over source + targets, which fixes every target's
-    (peer, class) mask. Part 1 runs single-target adaptation, and harvests
-    its pseudo strong set, only for the donor slots: the targets that
-    qualify as a peer of some target for some class. No part-3 run reads
-    any other target's pool, so a single target runs no part 1 at all.
+    distance graph over source + targets, which fixes the peer_masks
+    tensor over every (target, peer, class). Part 1 runs single-target
+    adaptation, and harvests its pseudo strong pools, only for the donor
+    slots: the targets that qualify as a peer of some target for some
+    class. No part-3 run reads any other target's pool, so a single
+    target runs no part 1 at all.
     Part 3 re-trains each target from a fresh initialization, replacing
     strong entries with samples from its qualifying peers' pseudo pools;
     which peers donate for each class is fixed once, before part 3 starts.
@@ -374,7 +375,7 @@ def train_multi_target(
 
     per_target = _run_tasks(
         _part3_task,
-        [(config, source, t, slot, _donors(masks[slot], pseudo_sets)) for slot, t in enumerate(targets, start=1)],
+        [(config, source, t, slot, _donor_table(masks[slot], pseudo_sets)) for slot, t in enumerate(targets, start=1)],
         jobs,
     )
     return MultiTargetResult(per_target, graph, pseudo_sets, source_params)

@@ -5,8 +5,9 @@ Three sets drive the semi-supervised signal on the unlabeled target:
     self-learning over all target samples (robust, refreshed rarely);
   - weak set: one sample per class from per-batch probability
     thresholding (diverse, refreshed every batch);
-  - pseudo strong set: a per-class pool of confident samples harvested
-    for export to peer trainers in the multi-target setting.
+  - pseudo strong pools: per class, an (m, d) row matrix of confident
+    samples harvested for export to peer trainers in the multi-target
+    setting.
 
 Fusion blends the strong and weak sample of a class with a random convex
 coefficient; selection mirrors the predicted label distribution of the
@@ -71,11 +72,6 @@ class WeakSet:
 
 def empty_weak_set(num_classes: int) -> WeakSet:
     return WeakSet([None] * num_classes)
-
-
-@dataclass
-class PseudoStrongSet:
-    pools: list  # per class: list of input Vectors
 
 
 @dataclass
@@ -301,14 +297,14 @@ def select_sw_batch(fused: list, pred_labels) -> FusedBatch:
     return FusedBatch(inputs, np.array(kept, dtype=np.int64))
 
 
-def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> PseudoStrongSet:
-    """Per class, keep the up-to-cap highest-probability samples whose argmax
-    lands on the class with probability above lam."""
+def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> list:
+    """The pseudo strong pools: per class, an (m, d) matrix of the up-to-cap
+    highest-probability rows of inputs whose argmax lands on the class with
+    probability above lam, best first; m is 0 for a class with none."""
     X, P = _check_pair(inputs, probs, "inputs", "probs")
     if cap < 1:
         raise InvalidInputError("cap must be >= 1")
     M = _confident(P, lam)
     ranked = np.argsort(-M, axis=0, kind="stable")[:cap]  # stable: equal probabilities keep row order
     counts = (M > -np.inf).sum(0)
-    return PseudoStrongSet([[X[i].copy() for i in ranked[:m, c]] for c, m in enumerate(counts)])
-
+    return [X[ranked[:m, c]] for c, m in enumerate(counts)]

@@ -11,9 +11,10 @@ then frozen, one exact table per class. Domain slot 0 is always the
 source. A peer target j helps target i on class l when j's class-l
 centroid is (1) closer to the source than i's is, and (2) closer to i
 than the source is -- i.e. j lies between the source and i for that
-class. Both inequalities are strict; ties disqualify. One (peer, class)
-mask per target (_qualifying) holds the rule for all its readers; a
-target that qualifies for no one is no donor, and part 1 skips it.
+class. Both inequalities are strict; ties disqualify. One (M, M, k) mask
+tensor (peer_masks) holds the rule for all its readers; a target that
+qualifies for no one is no donor, and part 1 skips it. A target's donors
+are one table of stacked peer rows (_donor_table), drawn from per class.
 """
 
 from __future__ import annotations
@@ -274,21 +275,20 @@ def build_distance_graph(dc: DomainCentroids) -> DistanceGraph:
     return DistanceGraph(tensor, usable[:, None] & usable[None])
 
 
-def _qualifying(G: DistanceGraph, i: int) -> Array:
-    """(M, k) mask: [j, l] says peer_qualifies(G, i, j, l); rows 0 and i are False."""
-    M = G.num_domains
-    if not 1 <= i < M:
-        raise InvalidInputError(f"target index must lie in [1, {M}); got i={i}")
+def peer_masks(G: DistanceGraph) -> Array:
+    """(M, M, k) mask: [i, j, l] says target j sits between the source and
+    target i for class l, d(S, Tj) < d(S, Ti) and d(Ti, Tj) < d(S, Ti),
+    both strictly, on usable graph entries. Slot 0, the source, is all
+    False, and so is the diagonal, where criterion 1 would need d(S, Ti)
+    below itself."""
     T, V = G.tensor, G.valid
-    mask = V[0] & V[0, i] & V[i] & (T[0] < T[0, i]) & (T[i] < T[0, i])
-    mask[[0, i]] = False
-    return mask
+    d_si = T[0][:, None]  # [i, 0, l] = d(S, Ti)
+    target = np.arange(G.num_domains) > 0
+    return (target[:, None] & target)[:, :, None] & V[0] & V[0][:, None] & V & (T[0] < d_si) & (T < d_si)
 
 
 def peer_qualifies(G: DistanceGraph, i: int, j: int, l: int) -> bool:
-    """True iff target j sits between the source and target i for class l:
-    d(S, Tj) < d(S, Ti) and d(Ti, Tj) < d(S, Ti), both strictly, on usable
-    graph entries."""
+    """peer_masks(G)[i, j, l] for targets i != j and a class l."""
     M, k = G.num_domains, G.num_classes
     if not (1 <= i < M and 1 <= j < M):
         raise InvalidInputError(f"target indices must lie in [1, {M}); got i={i}, j={j}")
@@ -296,22 +296,14 @@ def peer_qualifies(G: DistanceGraph, i: int, j: int, l: int) -> bool:
         raise InvalidInputError("a target cannot be its own peer")
     if not 0 <= l < k:
         raise InvalidInputError(f"class {l} outside [0, {k})")
-    return bool(_qualifying(G, i)[j, l])
+    return bool(peer_masks(G)[i, j, l])
 
 
 def qualifying_fraction(G: DistanceGraph, i: int) -> float:
     """Fraction of classes for which at least one peer qualifies for target i."""
-    return int(_qualifying(G, i).any(axis=0).sum()) / G.num_classes
-
-
-def peer_masks(G: DistanceGraph) -> Array:
-    """(M, M, k) stack of every target's mask: [i, j, l] says target j
-    qualifies as a peer of target i for class l; row 0, the source, is all
-    False. One _qualifying call per target."""
-    masks = np.zeros((G.num_domains, G.num_domains, G.num_classes), dtype=bool)
-    for i in range(1, G.num_domains):
-        masks[i] = _qualifying(G, i)
-    return masks
+    if not 1 <= i < G.num_domains:
+        raise InvalidInputError(f"target index must lie in [1, {G.num_domains}); got i={i}")
+    return int(peer_masks(G)[i].any(axis=0).sum()) / G.num_classes
 
 
 def donor_slots(masks: Array) -> list:
@@ -320,46 +312,41 @@ def donor_slots(masks: Array) -> list:
     return np.flatnonzero(masks.any(axis=(0, 2))).tolist()
 
 
-def _donors(qualifies: Array, peers: dict) -> list:
-    """Per class l, the (sample, j) pairs that may replace the class-l
-    strong entry of the target whose (peer, class) mask, a _qualifying
-    result, is qualifies: every class-l pool sample of every peer j that
-    qualifies for class l, in slot order, then pool order. peers maps graph
-    slot j (>= 1) to that target's PseudoStrongSet; the graph and the pools
-    are frozen before part 3, so one call serves a whole run."""
-    return [
-        [(sample, j) for j in sorted(peers) if qualifies[j, l] for sample in peers[j].pools[l]]
-        for l in range(qualifies.shape[1])
-    ]
-
-
-def _donor_table(donors: list) -> tuple:
-    """(classes, pairs, starts, counts): the classes l with a non-empty
-    donors[l] (see _donors), ascending; those lists concatenated; and
-    where each class's list starts in pairs, and its length."""
-    classes = [l for l, union in enumerate(donors) if union]
-    counts = np.array([len(donors[l]) for l in classes], dtype=np.int64)
-    return classes, [pair for l in classes for pair in donors[l]], np.cumsum(counts) - counts, counts
+def _donor_table(qualifies: Array, pools: dict):
+    """A target's peer donors, from its (peer, class) mask qualifies, a row
+    of peer_masks, and pools, which maps a graph slot j >= 1 to that
+    target's harvest: class l's donors are the class-l rows of every peer
+    that qualifies for class l, in slot order, then pool order. None when
+    no class has a donor, else (classes, rows, slots, starts, counts): the
+    classes with donors, ascending; their donor rows stacked class by
+    class; each row's slot; and each class's first row and row count."""
+    blocks = [(l, j, pools[j][l]) for l in range(qualifies.shape[1]) for j in sorted(pools) if qualifies[j, l]]
+    sizes = [len(rows) for _, _, rows in blocks]
+    if not sum(sizes):
+        return None
+    owners, slots, mats = zip(*blocks)
+    classes, starts, counts = np.unique(np.repeat(owners, sizes), return_index=True, return_counts=True)
+    return classes, np.concatenate(mats), np.repeat(slots, sizes), starts, counts
 
 
 def _draw_donors(starts: Array, counts: Array, rng: np.random.Generator) -> Array:
-    """Positions in a _donor_table's pairs of one uniform donor per class:
-    one rng.integers(counts), the same values and generator state as
+    """Rows of a _donor_table of one uniform donor per class: one
+    rng.integers(counts), the same values and generator state as
     rng.integers(n) for each n in counts in turn."""
     return starts + rng.integers(counts)
 
 
-def replace_with_peers(own_strong: StrongSet, donors: list, rng: np.random.Generator) -> StrongSet:
-    """Per class, swap the strong entry for a pair of donors[l] (see
-    _donors) drawn by _draw_donors; classes with an empty donor list,
-    or past the end of donors, keep their own entry object."""
+def replace_with_peers(own_strong: StrongSet, table, rng: np.random.Generator) -> StrongSet:
+    """Per class of a _donor_table, swap the strong entry for a donor row
+    drawn by _draw_donors; every other class, and every class when table is
+    None, keeps its own entry object."""
     if not own_strong.populated:
         raise NotInitializedError("own strong set is empty; nothing to replace")
     entries = list(own_strong.entries)
-    classes, pairs, starts, counts = _donor_table(donors)
-    for l, i in zip(classes, _draw_donors(starts, counts, rng).tolist()):
-        sample, j = pairs[i]
-        entries[l] = StrongEntry(sample.copy(), f"target{j}")
+    if table is not None:
+        classes, rows, slots, starts, counts = table
+        for l, n in zip(classes.tolist(), _draw_donors(starts, counts, rng).tolist()):
+            entries[l] = StrongEntry(rows[n].copy(), f"target{slots[n]}")
     return StrongSet(entries)
 
 

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -27,7 +28,6 @@ from swda.datasets import DomainTransform, SyntheticSpec, generate, load_csv, sa
 from swda.losses import LossWeights
 from swda.network import NetworkConfig, init_params
 from swda.pipeline import train_single_target
-from swda.repsets import PseudoStrongSet
 
 try:
     import tomllib
@@ -945,7 +945,7 @@ def test_checkpoint_with_unused_keys_exit_2(tmp_path, capsys):
     assert "checkpoint keys ['stray'] are not part of a network with 1 generator layers" in err
     assert err.count("\n") == 1 and not (tmp_path / "graph.txt").exists()
     # a pseudo strong export is no network checkpoint either
-    pseudo = PseudoStrongSet([[np.zeros(4)], [], [np.ones(4), np.ones(4)]])
+    pseudo = [np.zeros((1, 4)), np.zeros((0, 4)), np.ones((2, 4))]
     ckpt.save_arrays(tmp_path / "pseudo_strong.txt", ckpt.pseudo_to_arrays(pseudo))
     assert run_distance_graph(tmp_path, tmp_path / "pseudo_strong.txt") == 2
     assert "checkpoint is missing key" in capsys.readouterr().err
@@ -1423,6 +1423,75 @@ def test_output_that_is_a_directory_exit_2_before_any_input(tmp_path, capsys, mo
     assert main([command, *options]) == 2
     assert capsys.readouterr().err == f"error: {blocker} is a directory\n"
     assert calls == [] and sorted(tmp_path.rglob("*")) == [tmp_path / p for p in sorted({"out", blocker})]
+
+
+# per case: the command's options, and the input that one of its outputs names
+_OUTPUT_NAMING_AN_INPUT_CASES = {
+    "distance-graph": (
+        ["distance-graph", "--checkpoint", "net.txt", "--domains", "source.csv", "target.csv", "--out", "target.csv"],
+        "target.csv",
+    ),
+    "report": (["report", "--runs", "runs", "--out", "runs/r0/metrics.json"], "runs/r0/metrics.json"),
+    "report-scatter": (
+        ["report", "--runs", "runs", "--out", "summary.txt", "--scatter-checkpoint", "net.txt",
+         "--scatter-domain", "target.csv", "--scatter-out", "runs/../target.csv"],
+        "target.csv",
+    ),
+    "generate": (["generate", "--spec", "g/manifest.json", "--out", "g"], "g/manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUT_NAMING_AN_INPUT_CASES))
+def test_output_naming_an_input_exit_2_before_any_input(tmp_path, capsys, monkeypatch, case):
+    # each output here used to replace the input it names and exit 0
+    argv, victim = _OUTPUT_NAMING_AN_INPUT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write_dataset(tmp_path)
+    net = NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(6,), bottleneck_dim=2)
+    ckpt.save_params("net.txt", init_params(net, seed=0))
+    Path("runs/r0").mkdir(parents=True)
+    Path("runs/r0/metrics.json").write_text(json.dumps({"final_accuracy": 0.5}))
+    Path("g").mkdir()
+    Path("g/manifest.json").write_text(
+        json.dumps({"num_classes": 2, "input_dim": 2, "samples_per_class": 3, "transforms": [{}], "seed": 0})
+    )
+    before = Path(victim).read_bytes()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(": named by an input and an output\n") and err.count("\n") == 1 and "unexpected" not in err
+    assert Path(victim).read_bytes() == before
+
+
+def test_train_multi_names_each_run_by_its_part(tmp_path, capsys, caplog, monkeypatch):
+    # target1 is target2's peer, so it trains in part 1 and again in part 3;
+    # a warning or a failure of either run says which part it came from
+    spec = SyntheticSpec(
+        num_classes=3,
+        input_dim=4,
+        samples_per_class=10,
+        transforms=[DomainTransform(), DomainTransform(rotation_deg=20.0), DomainTransform(rotation_deg=40.0)],
+        seed=0,
+    )
+    paths = []
+    for dom in generate(spec):
+        paths.append(str(tmp_path / f"{dom.name}.csv"))
+        save_csv(dom, paths[-1])
+    cfg = {"max_iterations": 30, "strong_refresh_period": 10, "generator_hidden_dims": [8], "bottleneck_dim": 4}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    argv = ["train-multi", "--config", str(tmp_path / "c.json"), "--source", paths[0], "--targets", *paths[1:]]
+    with caplog.at_level(logging.WARNING, logger="swda"):
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+    lines = [r.getMessage() for r in caplog.records if "cross_entropy clamped" in r.getMessage()]
+    assert lines == ["part 3, target 'target1': cross_entropy clamped 1 zero-probability entries over 1 iterations"]
+    # part 2 refreshes no strong set, so the first refresh is part 1's
+    def empty(*args):
+        raise swda.EmptyClassError("class 1 has zero total probability mass")
+
+    monkeypatch.setattr(pipeline, "update_strong_set", empty)
+    assert main([*argv, "--out", str(tmp_path / "failed")]) == 3
+    assert capsys.readouterr().err == (
+        "error: part 1, target 'target1', iteration 10: class 1 has zero total probability mass\n"
+    )
 
 
 @pytest.mark.parametrize(

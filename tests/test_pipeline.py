@@ -27,7 +27,7 @@ from swda.pipeline import (
     train_multi_target,
     train_single_target,
 )
-from swda.scaffolding import _donors, _qualifying, donor_slots, peer_masks, train_source_only
+from swda.scaffolding import _donor_table, donor_slots, peer_masks, train_source_only
 
 
 def tiny_problem(seed: int = 0, shift: bool = True):
@@ -219,7 +219,8 @@ def test_part3_run_with_donors_replaces_every_iteration_after_a_refresh(monkeypa
     source, t1, t2 = source_and_two_targets()
     cfg = tiny_config(max_iterations=80)
     result = train_multi_target(cfg, source, [t1, t2])
-    donor_runs = sum(any(_donors(_qualifying(result.graph, slot), result.pseudo_sets)) for slot in (1, 2))
+    masks = peer_masks(result.graph)
+    donor_runs = sum(_donor_table(masks[slot], result.pseudo_sets) is not None for slot in (1, 2))
     assert donor_runs >= 1
     assert len(calls) == donor_runs * (cfg.max_iterations - cfg.strong_refresh_period)
     assert all(counts and min(counts) >= 1 for counts in calls)
@@ -265,9 +266,9 @@ def test_every_adaptation_step_calls_the_network_by_its_module_bindings(monkeypa
 
 def test_peer_qualification_runs_once_per_part3_run(monkeypatch):
     # the graph and the peer pools are frozen before part 3, so qualification
-    # is decided once per target, not once per iteration
+    # is decided once per multi-target call, not once per run or iteration
     source, t1, t2 = source_and_two_targets()
-    real = scaffolding._qualifying
+    real = pipeline.peer_masks
     counts = []
     for iterations in (80, 160):
         calls = []
@@ -276,11 +277,10 @@ def test_peer_qualification_runs_once_per_part3_run(monkeypatch):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(scaffolding, "_qualifying", spy)
+        monkeypatch.setattr(pipeline, "peer_masks", spy)
         train_multi_target(tiny_config(max_iterations=iterations), source, [t1, t2])
         counts.append(len(calls))
-    n = 2
-    assert counts == [n, n]  # one (peer, class) mask per target
+    assert counts == [1, 1]  # one (M, M, k) mask tensor per call
 
 
 def test_refresh_period_warning_logged_once_per_multi_target_call(caplog):
@@ -353,8 +353,8 @@ def test_pseudo_sets_hold_the_donor_slots_parts():
     assert sorted(result.pseudo_sets) == donor_slots(peer_masks(result.graph)) == [1]
     got = result.pseudo_sets[1]
     want = pipeline._part1_task((cfg, source, t1, 1))
-    assert len(got.pools) == len(want.pools)
-    for a, b in zip(got.pools, want.pools):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -379,7 +379,7 @@ def test_skipping_part1_leaves_every_part3_output_unchanged(monkeypatch):
     every_pool = {slot: pipeline._part1_task((cfg, source, t, slot)) for slot, t in enumerate(targets, start=1)}
     for slot, (t, (params, metrics)) in enumerate(zip(targets, result.per_target), start=1):
         want_params, want_metrics = pipeline._part3_task(
-            (cfg, source, t, slot, _donors(_qualifying(result.graph, slot), every_pool))
+            (cfg, source, t, slot, _donor_table(masks[slot], every_pool))
         )
         assert params_equal(params, want_params)
         assert metrics_to_json(metrics) == metrics_to_json(want_metrics)
@@ -545,8 +545,8 @@ def test_end_of_run_scores_the_returned_params(iterations):
     probs = pipeline.forward(params, target.samples).probs
     assert metrics.final_accuracy == scaffolding.accuracy(probs, target.labels)
     want = pipeline.harvest_pseudo_strong(target.samples, probs, cfg.weights.lam)
-    assert [len(pool) for pool in pseudo.pools] == [len(pool) for pool in want.pools]
-    for got, ref in zip(pseudo.pools, want.pools):
+    assert [len(pool) for pool in pseudo] == [len(pool) for pool in want]
+    for got, ref in zip(pseudo, want):
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 

@@ -1,4 +1,5 @@
-"""The committed reference runs (tests/reference/make.py) repeated in-process.
+"""The committed reference runs (tests/reference/make.py) repeated in-process,
+and a short run of the digest script (tests/reference/digests.py).
 
 When this host's numpy and OpenBLAS build is the one that made the
 reference, every kept output must match byte for byte and every digest
@@ -9,11 +10,12 @@ discrete pick. Each test prints the mode it ran in.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from reference import make
+from reference import digests, make
 
 # relative to max(1, |reference value|), per loss and iteration
 CURVE_TOL = 1e-9
@@ -60,3 +62,15 @@ def test_reference_call_counts_do_not_rise(fresh, reference):
     print("single-run calls per iteration: " + ", ".join(f"{n} {calls[n] / iterations:.3f}" for n in make.COUNTED))
     for name in make.COUNTED:
         assert calls[name] <= reference["calls"][name], name
+
+
+def test_digests_script_prints_one_line_per_output_set(monkeypatch, capsys):
+    # digests.py is the bit-for-bit check of a change meant to leave the
+    # numbers alone; one seed at 30 iterations keeps it from rotting
+    monkeypatch.setattr(digests, "SEEDS", [0])
+    monkeypatch.setattr(digests, "ITERATIONS", 30)
+    digests.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == ["single seed=0", "multi seed=0 jobs=1", "multi seed=0 jobs=2"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)
+    assert lines[1].split()[-1] == lines[2].split()[-1]  # outputs do not depend on jobs

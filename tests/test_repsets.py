@@ -12,7 +12,6 @@ from swda.errors import DegenerateInputError, EmptyClassError, InvalidInputError
 from swda.mathutils import softmax
 from swda.repsets import (
     FusedBatch,
-    PseudoStrongSet,
     StrongEntry,
     StrongSet,
     WeakEntry,
@@ -440,15 +439,15 @@ def test_select_sw_batch_rejects_bad_labels():
 def test_harvest_orders_by_probability_and_caps():
     X = np.arange(10)[:, None].astype(float)
     P = np.column_stack([np.linspace(0.81, 0.99, 10), 1.0 - np.linspace(0.81, 0.99, 10)])
-    pools = harvest_pseudo_strong(X, P, lam=0.8, cap=3).pools
+    pools = harvest_pseudo_strong(X, P, lam=0.8, cap=3)
     assert [int(v[0]) for v in pools[0]] == [9, 8, 7]
-    assert pools[1] == []
+    assert pools[1].shape == (0, 1)
 
 
 def test_harvest_threshold_strict_and_cap_validation():
     X = np.zeros((1, 2))
     P = np.array([[0.8, 0.2]])
-    assert harvest_pseudo_strong(X, P, lam=0.8).pools[0] == []
+    assert harvest_pseudo_strong(X, P, lam=0.8)[0].shape == (0, 2)
     with pytest.raises(InvalidInputError):
         harvest_pseudo_strong(X, P, lam=0.8, cap=0)
 
@@ -456,7 +455,7 @@ def test_harvest_threshold_strict_and_cap_validation():
 def test_harvest_tie_stability():
     X = np.arange(4)[:, None].astype(float)
     P = np.array([[0.9, 0.1]] * 4)
-    pools = harvest_pseudo_strong(X, P, lam=0.8, cap=2).pools
+    pools = harvest_pseudo_strong(X, P, lam=0.8, cap=2)
     assert [int(v[0]) for v in pools[0]] == [0, 1]  # stable sort keeps input order
 
 
@@ -489,7 +488,7 @@ def test_weak_set_and_harvest_share_one_ranking(seed, n, k, lam, cap):
     X = np.arange(n, dtype=float)[:, None]
     want = plain_ranking(P, lam)
     weak = update_weak_set(empty_weak_set(k), X, P, lam)
-    pools = harvest_pseudo_strong(X, P, lam, cap).pools
+    pools = harvest_pseudo_strong(X, P, lam, cap)
     for j in range(k):
         assert [int(v[0]) for v in pools[j]] == want[j][:cap]
         if want[j]:
@@ -592,7 +591,7 @@ def test_fused_all_blend_path_equals_general_path(draws):
 # --- serialization ------------------------------------------------------------
 
 def test_pseudo_set_survives_checkpoint_round_trip(tmp_path):
-    pools = PseudoStrongSet([[np.array([1.0, 2.0]), np.array([3.0, 4.0])], []])
+    pools = [np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((0, 2))]
     path = tmp_path / "pseudo_strong.txt"
     save_arrays(path, pseudo_to_arrays(pools))
     back = load_arrays(path)

@@ -14,17 +14,17 @@ from swda.datasets import Domain, generate, standard_shift_spec
 from swda.errors import DegenerateInputError, InvalidDatasetError, InvalidInputError, NotInitializedError
 from swda.network import Linear, NetworkConfig, ParamTree, forward, init_params
 from swda.pipeline import train_single_target
-from swda.repsets import PseudoStrongSet, StrongEntry, StrongSet, compute_centroids
+from swda.repsets import StrongEntry, StrongSet, compute_centroids
 from swda.scaffolding import (
     DistanceGraph,
     DomainCentroids,
-    _donors,
-    _qualifying,
+    _donor_table,
     build_distance_graph,
     centroids_for_domains,
     check_source_classes,
     compute_domain_centroids,
     format_distance_report,
+    peer_masks,
     peer_qualifies,
     qualifying_fraction,
     replace_with_peers,
@@ -317,6 +317,29 @@ def test_peer_criteria_match_oracle_randomized():
         assert peer_qualifies(G, 2, 1, 0) == oracle_peer_qualifies(G.tensor, 2, 1, 0)
 
 
+
+def test_peer_masks_match_oracle_elementwise():
+    # tensors with entries on a coarse grid, so both criteria meet exact
+    # ties, and about a fifth of the entries unusable: every element of the
+    # one-expression mask is the brute-force rule on usable entries. The
+    # tensors are not symmetric, so slot 0 and the diagonal are False by
+    # rule, not because a symmetric graph ties there
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        M, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        tensor = rng.integers(0, 9, size=(M, M, k)) / 4.0
+        valid = rng.uniform(size=(M, M, k)) > 0.2
+        masks = scaffolding.peer_masks(DistanceGraph(tensor, valid))
+        assert masks.shape == (M, M, k) and masks.dtype == bool
+        assert not masks[0].any() and not masks[:, 0].any() and not masks[np.arange(M), np.arange(M)].any()
+        want = np.zeros_like(masks)
+        for i, j, l in np.ndindex(M, M, k):
+            if i and j and i != j:
+                usable = valid[0, j, l] and valid[0, i, l] and valid[i, j, l]
+                want[i, j, l] = usable and oracle_peer_qualifies(tensor.tolist(), i, j, l)
+        assert np.array_equal(masks, want)
+        assert scaffolding.donor_slots(masks) == sorted({j for i, j, l in zip(*np.nonzero(want))})
+
 def test_peer_criteria_index_validation():
     G = graph_from_distances([0.1], [0.2], [0.1])
     with pytest.raises(InvalidInputError):
@@ -355,8 +378,8 @@ def _own_strong(k, dim=2):
 def test_replace_with_peers_swaps_only_qualifying_classes():
     G = graph_from_distances([0.07, 0.30], [0.20, 0.20], [0.16, 0.10])
     own = _own_strong(2)
-    peers = {1: PseudoStrongSet([[np.array([9.0, 9.0])], [np.array([7.0, 7.0])]])}
-    out = replace_with_peers(own, _donors(_qualifying(G, 2), peers), np.random.default_rng(0))
+    peers = {1: [np.array([[9.0, 9.0]]), np.array([[7.0, 7.0]])]}
+    out = replace_with_peers(own, _donor_table(peer_masks(G)[2], peers), np.random.default_rng(0))
     assert np.array_equal(out.entries[0].x, [9.0, 9.0])  # class 0 qualified
     assert out.entries[0].domain == "target1"
     assert np.array_equal(out.entries[1].x, [1.0, 1.0])  # class 1 kept its own
@@ -368,8 +391,8 @@ def test_replace_with_peers_swaps_only_qualifying_classes():
 def test_replace_with_peers_skips_empty_pools():
     G = graph_from_distances([0.07], [0.20], [0.16])
     own = _own_strong(1)
-    donors = _donors(_qualifying(G, 2), {1: PseudoStrongSet([[]])})
-    assert donors == [[]]
+    donors = _donor_table(peer_masks(G)[2], {1: [np.zeros((0, 2))]})
+    assert donors is None
     out = replace_with_peers(own, donors, np.random.default_rng(0))
     assert out.entries[0] is own.entries[0]
 
@@ -377,15 +400,15 @@ def test_replace_with_peers_skips_empty_pools():
 def test_replace_with_peers_requires_populated_set():
     G = graph_from_distances([0.07], [0.20], [0.16])
     with pytest.raises(NotInitializedError):
-        replace_with_peers(StrongSet([None]), _donors(_qualifying(G, 2), {}), np.random.default_rng(0))
+        replace_with_peers(StrongSet([None]), _donor_table(peer_masks(G)[2], {}), np.random.default_rng(0))
 
 
 def test_replace_with_peers_uniform_over_pool():
     # 10000 draws over a 4-sample pool: each frequency within 0.25 +- 0.02
     G = graph_from_distances([0.07], [0.20], [0.16])
     own = _own_strong(1)
-    pool = [np.array([float(v), 0.0]) for v in range(4)]
-    donors = _donors(_qualifying(G, 2), {1: PseudoStrongSet([pool])})
+    pool = np.array([[float(v), 0.0] for v in range(4)])
+    donors = _donor_table(peer_masks(G)[2], {1: [pool]})
     rng = np.random.default_rng(42)
     counts = np.zeros(4)
     for _ in range(10000):
@@ -404,11 +427,8 @@ def test_replace_with_peers_pools_multiple_peers():
         tensor[a, b, 0] = tensor[b, a, 0] = v
     G = DistanceGraph(tensor, np.ones((4, 4, k), dtype=bool))
     own = _own_strong(1)
-    peers = {
-        1: PseudoStrongSet([[np.array([10.0, 0.0])]]),
-        2: PseudoStrongSet([[np.array([20.0, 0.0])]]),
-    }
-    donors = _donors(_qualifying(G, 3), peers)
+    peers = {1: [np.array([[10.0, 0.0]])], 2: [np.array([[20.0, 0.0]])]}
+    donors = _donor_table(peer_masks(G)[3], peers)
     seen = set()
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -439,16 +459,20 @@ def test_one_array_draw_equals_one_scalar_draw_per_bound(seed, pending, counts):
 
 def test_replace_with_peers_draws_as_the_per_class_loop():
     # the reference is the former rule: per class in order, one scalar draw
-    # over a non-empty donor list, none over an empty one
+    # over a non-empty donor list, none over an empty one; class l's list
+    # holds the class-l rows of every qualifying peer, in slot order
     rng = np.random.default_rng(5)
     for _ in range(100):
         k = int(rng.integers(1, 6))
-        donors = [
-            [(np.array([float(l), float(i)]), int(rng.integers(1, 4))) for i in range(int(rng.integers(0, 4)))]
-            for l in range(k)
-        ]
-        own, seed = _own_strong(k), int(rng.integers(2**32))
-        got, ref_rng = replace_with_peers(own, donors, np.random.default_rng(seed)), np.random.default_rng(seed)
+        pools = {
+            j: [np.array([[j, l, n] for n in range(int(rng.integers(0, 4)))], dtype=float).reshape(-1, 3) for l in range(k)]
+            for j in range(1, 4)
+        }
+        qualifies = rng.uniform(size=(4, k)) > 0.3
+        donors = [[(x, j) for j in (1, 2, 3) if qualifies[j, l] for x in pools[j][l]] for l in range(k)]
+        own, seed = _own_strong(k, 3), int(rng.integers(2**32))
+        table = _donor_table(qualifies, pools)
+        got, ref_rng = replace_with_peers(own, table, np.random.default_rng(seed)), np.random.default_rng(seed)
         for l, union in enumerate(donors):
             if union:
                 sample, j = union[int(ref_rng.integers(len(union)))]
@@ -473,14 +497,17 @@ def test_peer_donors_match_oracle_randomized():
         G = DistanceGraph(tensor, valid)
         i = int(rng.integers(1, M))
         peers = {
-            j: PseudoStrongSet([
-                [np.array([j, l, n], dtype=float) for n in range(int(rng.integers(0, 3)))] for l in range(k)
-            ])
+            j: [np.array([[j, l, n] for n in range(int(rng.integers(0, 3)))], dtype=float).reshape(-1, 3) for l in range(k)]
             for j in range(1, M)
             if rng.uniform() > 0.1
         }
-        donors = _donors(_qualifying(G, i), peers)
-        assert len(donors) == k
+        table = _donor_table(peer_masks(G)[i], peers)
+        donors = [[] for _ in range(k)]  # class l's (row, slot) pairs
+        if table is not None:
+            classes, rows, slots, starts, counts = table
+            assert np.all(np.diff(classes) > 0) and classes[0] >= 0 and classes[-1] < k and counts.min() >= 1
+            for l, a, c in zip(classes.tolist(), starts.tolist(), counts.tolist()):
+                donors[l] = list(zip(rows[a : a + c], slots[a : a + c].tolist()))
         for l in range(k):
             expect = [
                 (j, n)
@@ -488,12 +515,12 @@ def test_peer_donors_match_oracle_randomized():
                 if j != i
                 and G.valid[0, j, l] and G.valid[0, i, l] and G.valid[i, j, l]
                 and oracle_peer_qualifies(tensor.tolist(), i, j, l)
-                for n in range(len(peers[j].pools[l]))
+                for n in range(len(peers[j][l]))
             ]
             got = [(j, int(x[2])) for x, j in donors[l]]
             assert got == expect
-            for x, j in donors[l]:
-                assert x is peers[j].pools[l][int(x[2])]
+            for x, j in donors[l]:  # each row a copy of its pool row, tagged with its slot
+                assert np.array_equal(x, peers[j][l][int(x[2])]) and x[0] == j
             donated += len(got)
     assert donated > 0
 
