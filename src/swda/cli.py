@@ -82,37 +82,6 @@ def _load_json(path) -> dict:
     return doc
 
 
-def load_config_file(path) -> dict:
-    cfg = _load_json(path)
-    unknown = sorted(set(cfg) - set(KNOWN_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {unknown}")
-    return cfg
-
-
-def experiment_config_from_dict(cfg: dict, input_dim: int, num_classes: int) -> ExperimentConfig:
-    """Materialize an ExperimentConfig; dims from data win over the file,
-    and a conflicting file value is an error rather than silently ignored.
-    A value the dataclasses reject (wrong type or out of range) is a
-    ConfigError."""
-    for key, resolved in (("input_dim", input_dim), ("num_classes", num_classes)):
-        value = cfg.get(key)
-        if value is not None and type(value) is not int:
-            raise ConfigError(f"config {key} must be an integer or null, got {json.dumps(value)}")
-        if value is not None and value != resolved:
-            raise ConfigError(f"config {key}={value} conflicts with data ({resolved})")
-
-    def given(keys) -> dict:
-        return {k: cfg[k] for k in keys if k in cfg}
-
-    try:
-        network = NetworkConfig(**{**given(_NETWORK_KEYS), "input_dim": input_dim, "num_classes": num_classes})
-        weights = LossWeights(**given(_WEIGHT_KEYS))
-        return ExperimentConfig(network=network, weights=weights, **given(_EXPERIMENT_KEYS))
-    except InvalidInputError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-
-
 def _config_epilog() -> str:
     lines = ["config file keys (flat JSON object; all optional):"]
     for key, f in KNOWN_CONFIG_KEYS.items():
@@ -142,16 +111,34 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
 
 def _load_run(args) -> tuple:
     """(config file dict, labeled source, ExperimentConfig) of a training
-    command: input_dim comes from the source, num_classes from the file or
-    else the source's largest label."""
-    cfg = load_config_file(args.config)
+    command. input_dim comes from the source, num_classes from the file or
+    else the source's largest label. A ConfigError rejects a key outside
+    KNOWN_CONFIG_KEYS, a file input_dim or num_classes that is neither an
+    integer nor null, a file input_dim other than the source's, and any
+    value the config dataclasses reject (wrong type or out of range)."""
+    cfg = _load_json(args.config)
+    unknown = sorted(set(cfg) - set(KNOWN_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config keys {unknown}")
     source = load_csv(args.source)
     if source.labels is None:
         raise InvalidDatasetError(f"{args.source}: source domain must be labeled")
-    num_classes = cfg.get("num_classes")
+    input_dim, num_classes = source.samples.shape[1], cfg.get("num_classes")
     if num_classes is None:
         num_classes = int(source.labels.max()) + 1
-    return cfg, source, experiment_config_from_dict(cfg, source.samples.shape[1], num_classes)
+    for key in ("input_dim", "num_classes"):
+        value = cfg.get(key)
+        if value is not None and type(value) is not int:
+            raise ConfigError(f"config {key} must be an integer or null, got {json.dumps(value)}")
+        if key == "input_dim" and value not in (None, input_dim):
+            raise ConfigError(f"config input_dim={value} conflicts with data ({input_dim})")
+    net, weights, rest = ({k: cfg[k] for k in keys if k in cfg} for keys in (_NETWORK_KEYS, _WEIGHT_KEYS, _EXPERIMENT_KEYS))
+    try:
+        network = NetworkConfig(**{**net, "input_dim": input_dim, "num_classes": num_classes})
+        config = ExperimentConfig(network=network, weights=LossWeights(**weights), **rest)
+    except InvalidInputError as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    return cfg, source, config
 
 
 def _config_echo(cfg: dict, config: ExperimentConfig, source: Domain, target: Domain) -> dict:
@@ -269,6 +256,10 @@ def cmd_report(args) -> int:
     metric_files = sorted(runs_dir.rglob("metrics.json"))  # a directory listing: no file is read yet
     given = [path for path in scatter if path is not None]  # all three or none
     _check_outputs([args.out, *given[2:]], (), [*metric_files, *given[:2]])
+    for path in (args.out, *given[2:]):  # the next report would read such a file as a run
+        real = Path(os.path.realpath(path))
+        if real.name == "metrics.json" and real.is_relative_to(os.path.realpath(runs_dir)):
+            raise InvalidInputError(f"{path}: an output named metrics.json under --runs would be read as a run")
     if not metric_files:
         raise InvalidInputError(f"no metrics.json files under {runs_dir}")
     groups: dict = {}

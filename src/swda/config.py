@@ -43,7 +43,6 @@ class ExperimentConfig:
     eta0_head: float = 0.01  # bottleneck + classifier
     eta0_generator: float = 0.001
     seed: int = 0
-    source_iterations: int | None = None  # None: reuse max_iterations
     accuracy_eval_period: int = 100
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class ExperimentConfig:
             raise InvalidInputError("learning rates must be positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
-        if self.source_iterations is not None and self.source_iterations < 0:
-            raise InvalidInputError("source_iterations must be >= 0")
         if self.accuracy_eval_period < 1:
             raise InvalidInputError("accuracy_eval_period must be >= 1")
 

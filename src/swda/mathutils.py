@@ -65,7 +65,6 @@ def _list_of(accepts):
 _FIELD_RULES = {
     "int": ("an integer", _is_int),
     "float": ("a finite number", _is_number),
-    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
     "tuple[int, ...]": ("a list of positive integers", _list_of(lambda h: _is_int(h) and h >= 1)),
     "tuple": ("a list of finite numbers", _list_of(_is_number)),
 }

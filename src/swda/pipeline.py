@@ -263,18 +263,16 @@ def _run_tasks(fn, tasks, jobs: int):
     """[fn(t) for t in tasks], in task order, on at most jobs processes,
     this one included.
 
-    The tasks split into lanes = min(jobs, len(tasks)) lanes: this process
-    runs lane 0, tasks[0::lanes], and forks one child per other lane l to
-    run tasks[l::lanes]. Children inherit fn and the tasks; each pickles
-    back (True, results) or (False, exception) through its own pipe and
-    leaves through os._exit, never through the caller's stack. A child's
-    exception is raised here unchanged; a child that ends without a reply
-    raises ChildProcessError. Whatever ends the call, every child still
-    running is killed and every child reaped. Where os.fork does not
-    exist, every task runs in this process."""
-    lanes = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
-    if lanes <= 1:
-        return [fn(t) for t in tasks]
+    The tasks split into lanes = max(1, min(jobs, len(tasks))) lanes, one
+    where os.fork does not exist: this process runs lane 0, tasks[0::lanes],
+    and forks one child per other lane l to run tasks[l::lanes]. Children
+    inherit fn and the tasks; each pickles back (True, results) or (False,
+    exception) through its own pipe and leaves through os._exit, never
+    through the caller's stack. A child's exception is raised here
+    unchanged; a child that ends without a reply raises ChildProcessError.
+    Whatever ends the call, every child still running is killed and every
+    child reaped."""
+    lanes = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
     pipes, live = [], []  # each child lane's reply pipe (read end); children not reaped yet
     try:
         for lane in range(1, lanes):

@@ -198,19 +198,19 @@ class TrainingRun:
 
 @serial_blas()
 def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams:
-    """Cross-entropy training on the labeled source with early stopping.
+    """Cross-entropy training on the labeled source for up to
+    config.max_iterations iterations, with early stopping.
 
     Source accuracy is evaluated every SOURCE_EVAL_PERIOD iterations; the
     best-scoring parameters are kept, and training stops once accuracy has
     fallen below the running best on two consecutive evaluations.
     """
     check_source_classes(source, config.network.num_classes)
-    budget = config.max_iterations if config.source_iterations is None else config.source_iterations
     run = TrainingRun(config, source, "source-only training")
     best_params, best_acc, drops = run.params.copy(), -1.0, 0  # drops: consecutive checks below the best
     with run.faults():
-        for it in range(budget):
-            run.step(it / budget)
+        for it in range(config.max_iterations):
+            run.step(it / config.max_iterations)
             if (it + 1) % SOURCE_EVAL_PERIOD == 0:
                 acc = evaluate(run.params, source)
                 if acc > best_acc:

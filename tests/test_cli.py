@@ -406,7 +406,6 @@ def run_train_single(tmp_path, cfg_path):
         ("lam", '"0.5"', "lam must be a finite number"),
         ("lam", "NaN", "lam must be a finite number"),
         ("k1", "false", "k1 must be a finite number"),
-        ("source_iterations", "2.0", "source_iterations must be an integer or null"),
         ("num_classes", '"3"', "num_classes must be an integer or null"),
         # a 401-digit integer has no float64: a config error, not a
         # numerical failure once training uses it
@@ -451,9 +450,8 @@ FUZZ_KEYS = st.sampled_from(sorted(cli.KNOWN_CONFIG_KEYS) + ["num_runs", ""])
 def fuzzed_config(draw):
     doc = {**SMALL_CONFIG, "max_iterations": 5, "strong_refresh_period": 2, "accuracy_eval_period": 2}
     doc.update(draw(st.dictionaries(FUZZ_KEYS, FUZZ_VALUES, max_size=3)))
-    for key in ("max_iterations", "source_iterations"):
-        if type(doc.get(key)) is int and doc[key] > 5:
-            doc[key] = 5
+    if type(doc.get("max_iterations")) is int and doc["max_iterations"] > 5:
+        doc["max_iterations"] = 5
     return [doc] if draw(st.integers(0, 19)) == 13 else doc  # now and then no JSON object at all
 
 
@@ -676,9 +674,10 @@ def test_refresh_period_not_shorter_than_run_warns(tmp_path, caplog, iterations,
 
 def test_num_runs_config_key_exit_2(tmp_path, capsys):
     # repeated runs are train-single with different seeds, aggregated by
-    # report; the other keys were single-valued options, now constants
+    # report; the other keys were single-valued options, now constants, and
+    # source-only pretraining runs max_iterations
     write_dataset(tmp_path)
-    for key in ("num_runs", "schedule_a", "schedule_b", "source_eval_period", "pseudo_pool_cap"):
+    for key in ("num_runs", "schedule_a", "schedule_b", "source_eval_period", "pseudo_pool_cap", "source_iterations"):
         cfg_path, _ = write_config(tmp_path, extra={key: 3})
         assert run_train_single(tmp_path, cfg_path) == 2
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
@@ -1302,6 +1301,29 @@ def test_report_unwritable_destination_exit_2_before_any_output(tmp_path, capsys
     assert err.startswith(f"error: {tmp_path / dest}")
     assert not (tmp_path / "summary.txt").exists() and not (tmp_path / "scatter.svg").exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("dest", ["runs/metrics.json", "runs/r1/metrics.json", "runs/r1/../r1/metrics.json"])
+@pytest.mark.parametrize("which", ["out", "scatter_out"])
+def test_report_output_read_as_a_run_by_the_next_report_exit_2(tmp_path, capsys, monkeypatch, which, dest):
+    # a metrics.json under --runs that does not exist yet is no input of
+    # this report, but the next one would read the table or SVG as a run
+    names = {"out": "summary.txt", "scatter_out": "scatter.svg"}
+    argv = _scatter_report_argv(tmp_path, **{**names, which: dest})
+    (tmp_path / "runs" / "r1").mkdir()
+    with monkeypatch.context() as m:
+        calls = []
+        for holder, name in ((cli, "_load_json"), (cli, "load_csv"), (ckpt, "load_params")):
+            m.setattr(holder, name, lambda *args, name=name: calls.append(name))
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    assert err == f"error: {tmp_path / dest}: an output named metrics.json under --runs would be read as a run\n"
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in (tmp_path / "runs").rglob("*")) == [
+        "runs/r0", "runs/r0/metrics.json", "runs/r1"
+    ]
+    assert not (tmp_path / "summary.txt").exists() and not (tmp_path / "scatter.svg").exists()
+    assert main(["report", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "summary.txt")]) == 0
 
 
 def test_training_never_loads_the_process_pool(tmp_path):

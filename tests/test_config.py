@@ -40,7 +40,6 @@ def test_defaults_valid():
         {"eta0_head": 0.0},
         {"eta0_generator": -1e-3},
         {"eta0_head": float("nan")},
-        {"source_iterations": -1},
         {"eta0_generator": float("inf")},
         {"accuracy_eval_period": 0},
         {"seed": -1},
@@ -88,12 +87,6 @@ def test_dataclass_field_of_wrong_type_or_range_rejected(make):
 def test_numpy_scalars_accepted():
     cfg = small_config(batch_size=np.int64(48), eta0_head=np.float64(0.1))
     assert cfg.batch_size == 48 and cfg.eta0_head == 0.1
-
-
-def test_source_iterations_zero_allowed():
-    # zero means "skip pretraining", distinct from None (reuse max_iterations)
-    cfg = small_config(source_iterations=0)
-    assert cfg.source_iterations == 0
 
 
 def test_stream_rng_deterministic():

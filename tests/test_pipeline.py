@@ -12,6 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import adaptation_run as oracle_adaptation_run
 
 from swda import mathutils, pipeline, scaffolding
 from swda.config import ExperimentConfig
@@ -226,6 +229,70 @@ def test_part3_run_with_donors_replaces_every_iteration_after_a_refresh(monkeypa
     assert all(counts and min(counts) >= 1 for counts in calls)
 
 
+_ORACLE_CASE = dict(
+    seed=0, iterations=8, period=3, batch_size=5, target_rows=12, lam=0.8, k3=1.0, labeled=True, donor_counts=None
+)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    iterations=st.integers(1, 24),
+    period=st.integers(1, 26),
+    batch_size=st.integers(1, 20),
+    target_rows=st.integers(2, 16),
+    lam=st.sampled_from([0.3, 0.8, 1.0]),
+    k3=st.sampled_from([0.0, 1.0, 3.0]),
+    labeled=st.booleans(),
+    donor_counts=st.none() | st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+@example(**{**_ORACLE_CASE, "batch_size": 12})  # every batch is the whole target
+@example(**{**_ORACLE_CASE, "batch_size": 20})
+@example(**{**_ORACLE_CASE, "period": 1})
+@example(**{**_ORACLE_CASE, "period": 8})  # the one refresh comes with the last iteration
+@example(**{**_ORACLE_CASE, "period": 11})  # no strong set at all
+@example(**{**_ORACLE_CASE, "lam": 1.0, "k3": 0.0})  # no weak entry, no pool, a silent L_SW
+@example(**{**_ORACLE_CASE, "labeled": False})
+@example(**{**_ORACLE_CASE, "donor_counts": [2, 0, 3]})
+@example(**{**_ORACLE_CASE, "donor_counts": [0, 0, 0]})
+def test_adaptation_run_matches_the_oracle_bit_for_bit(
+    seed, iterations, period, batch_size, target_rows, lam, k3, labeled, donor_counts
+):
+    # the oracle composes the public, checked functions; the trainer runs
+    # their kernels on row matrices and draws its donors in one call
+    source, target = tiny_problem(seed % 3)
+    rng = np.random.default_rng(seed)
+    keep = rng.permutation(target.n)[:target_rows]
+    target = Domain("t", target.samples[keep], target.labels[keep] if labeled else None)
+    donors = None if donor_counts is None else [rng.normal(size=(m, 4)) for m in donor_counts]
+    table = None if donors is None else _donor_table(np.ones((2, 3), dtype=bool), {1: donors})
+    config = tiny_config(
+        network=NetworkConfig(input_dim=4, num_classes=3, generator_hidden_dims=(6,), bottleneck_dim=4),
+        weights=LossWeights(k3=k3, lam=lam),
+        batch_size=batch_size,
+        max_iterations=iterations,
+        strong_refresh_period=period,
+        accuracy_eval_period=3,
+        seed=seed,
+    )
+    params, metrics, pools = pipeline._adaptation_run(config, source, target, table, "t")
+    want_params, curves, accuracy_iterations, accuracy_series, final, want_pools = oracle_adaptation_run(
+        config, source, target, donors
+    )
+    assert params.flat.tobytes() == want_params.flat.tobytes()
+    for got, want in zip((metrics.loss_ce, metrics.loss_im, metrics.loss_all, metrics.loss_sw), curves):
+        assert _bits(got) == _bits(want)
+    assert metrics.accuracy_iterations == accuracy_iterations
+    assert _bits(metrics.accuracy_series) == _bits(accuracy_series)
+    assert (metrics.final_accuracy is None) == (final is None) == (not labeled)
+    assert labeled is False or _bits(metrics.final_accuracy) == _bits(final)
+    assert [(p.shape, p.tobytes()) for p in pools] == [(p.shape, p.tobytes()) for p in want_pools]
+
+
 def test_every_adaptation_step_calls_the_network_by_its_module_bindings(monkeypatch):
     # perfbench times forward, backward and sgd_step by replacing these
     # names in pipeline and scaffolding; a step that went around them would
@@ -438,6 +505,15 @@ def test_run_tasks_returns_results_in_task_order(jobs, lanes):
     pids = [pid for _, pid in got]
     assert pids[0::lanes] == [os.getpid()] * len(pids[0::lanes])  # lane 0 runs here
     assert len(set(pids)) == lanes
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("count", [0, 1])
+def test_run_tasks_of_no_task_or_one_forks_nothing(monkeypatch, jobs, count):
+    # one lane, this process's own: a part 1 without donors runs no task
+    forks = _spy_forks(monkeypatch)
+    assert pipeline._run_tasks(_task_and_pid, list(range(count)), jobs) == [(t, os.getpid()) for t in range(count)]
+    assert forks == []
 
 
 def test_run_tasks_child_ending_without_a_reply_raises():

@@ -85,16 +85,9 @@ def test_cross_entropy_clamps_are_reported_once_per_run(caplog):
         assert 1 < iterations <= 40 and entries >= iterations
 
 
-def test_train_source_only_zero_budget_returns_init():
-    src = generate(standard_shift_spec(0))[0]
-    cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=3, source_iterations=0)
-    params = train_source_only(cfg, src)
-    assert np.array_equal(params.flat, init_params(cfg.network, 3).flat)
-
-
 def test_train_source_only_learns_and_is_deterministic():
     src = generate(standard_shift_spec(0))[0]
-    cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=0, source_iterations=400)
+    cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=0, max_iterations=400)
     params = train_source_only(cfg, src)
     acc = float(np.mean(np.argmax(forward(params, src.samples).probs, axis=1) == src.labels))
     assert acc > 0.8
@@ -105,7 +98,7 @@ def test_train_source_only_learns_and_is_deterministic():
 def test_train_source_only_keeps_best_check_and_stops_after_two_drops(monkeypatch):
     # a rise, a tie (which resets the drop count) and two drops in a row
     src = generate(standard_shift_spec(0))[0]
-    cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=0, source_iterations=1000)
+    cfg = ExperimentConfig(network=NetworkConfig(8, 6), seed=0, max_iterations=1000)
     scores = iter([0.5, 0.7, 0.6, 0.7, 0.6, 0.5])
     seen = []
 
