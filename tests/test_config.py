@@ -40,6 +40,7 @@ def test_defaults_valid():
         {"eta0_head": 0.0},
         {"eta0_generator": -1e-3},
         {"eta0_head": float("nan")},
+        {"max_iterations": -1},
         {"eta0_generator": float("inf")},
         {"accuracy_eval_period": 0},
         {"seed": -1},
