@@ -132,7 +132,8 @@ def pseudo_to_arrays(pools: list) -> dict:
 
 def arrays_to_params(arrays: dict) -> NetworkParams:
     """Pack checkpoint arrays into NetworkParams; a missing or unused key, a
-    bad tau or layer shapes that do not chain raise InvalidInputError."""
+    bad tau, or layer shapes that do not chain or have a zero dimension
+    raise InvalidInputError."""
     try:
         n_layers = 0
         while f"generator.{n_layers}.weight" in arrays:

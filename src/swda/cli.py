@@ -299,29 +299,43 @@ def cmd_report(args) -> int:
 
 def _check_outputs(files, dirs=(), inputs=()) -> None:
     """Reject, before any input is read, a command's outputs that cannot all
-    be written or would replace a file: a path named, under any spelling,
-    by two outputs or by an output and one of inputs, the files the
-    command reads; a directory to make below an existing non-directory; or
-    a file that is an existing directory or lies in a directory that
-    neither exists nor is among dirs."""
+    be written or would replace a file: a file named, under any spelling or
+    hard link, by two outputs or by an output and one of inputs, the files
+    the command reads; a directory to make that is a dangling symbolic link
+    or lies below an existing non-directory; or a file that is an existing
+    directory or whose resolved directory neither exists nor is among dirs."""
     files, dirs = [Path(f) for f in files], [Path(d) for d in dirs]
-    read, seen = {os.path.realpath(path) for path in inputs}, set()
+    read, seen = {_file_identity(path) for path in inputs}, set()
     for path in dirs + files:
-        real = os.path.realpath(path)
-        if real in read:
+        key = _file_identity(path)
+        if key in read:
             raise InvalidInputError(f"{path}: named by an input and an output")
-        if real in seen:
+        if key in seen:
             raise InvalidInputError(f"{path}: named by two outputs")
-        seen.add(real)
+        seen.add(key)
     for d in dirs:
-        existing = next(p for p in (d, *d.parents) if p.exists())
+        existing = next(p for p in (d, *d.parents) if os.path.lexists(p))
+        if not existing.exists():  # lexists but not exists: a link to nothing
+            raise InvalidInputError(f"{d}: {existing} is a dangling symbolic link")
         if not existing.is_dir():
             raise InvalidInputError(f"{d}: {existing} is not a directory")
+    made = {Path(os.path.realpath(d)) for d in dirs}
     for f in files:
         if f.is_dir():
             raise InvalidInputError(f"{f} is a directory")
-        if not (f.parent.is_dir() or f.parent in dirs):
-            raise InvalidInputError(f"{f}: no directory {f.parent}")
+        parent = Path(os.path.realpath(f)).parent
+        if not (parent.is_dir() or parent in made):
+            raise InvalidInputError(f"{f}: no directory {parent}")
+
+
+def _file_identity(path):
+    """(st_dev, st_ino) of an existing file, which its every spelling and
+    hard link share; the realpath of any other path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 _PALETTE = [

@@ -212,11 +212,9 @@ def row_norms(M: Array) -> Array:
 def cosine_distances(A: Array, a_norms: Array, B: Array, b_norms: Array) -> Array:
     """min(2, max(0, 1 - fsum(a * b) / (|a| |b|))), bit for bit, for each row
     a of A and b of B, given finite, nonzero row norms, with one column_fsums
-    call per row of the shorter operand. It raises where that formula does:
-    OverflowError for a dot product fsum overflows on, and ArithmeticError for
-    a norm product that underflows to 0."""
-    if A.shape[0] > B.shape[0]:
-        return cosine_distances(B, b_norms, A, a_norms).T
+    call per row of A. It raises where that formula does: OverflowError for a
+    dot product fsum overflows on, and ArithmeticError for a norm product
+    that underflows to 0."""
     dots = np.empty((A.shape[0], B.shape[0]))
     for r, a in enumerate(A):
         dots[r] = column_fsums(np.multiply(B.T, a[:, None], order="C"))

@@ -117,13 +117,16 @@ class ParamTree:
 def _check_chain(shapes: tuple) -> None:
     """Reject leaf shapes that do not chain: each weight is (out, in) with
     ``in`` the previous layer's ``out``, each bias is (out,), and the
-    classifier is (num_classes, bottleneck out)."""
+    classifier is (num_classes, bottleneck out); every dimension is >= 1,
+    as NetworkConfig requires."""
     names = [f"generator.{i}" for i in range(len(shapes) // 2 - 1)] + ["bottleneck"]
     fan_in = None
     for i, name in enumerate(names):
         w, b = shapes[2 * i], shapes[2 * i + 1]
         if len(w) != 2:
             raise InvalidInputError(f"{name}.weight has shape {w}, expected 2 dimensions")
+        if 0 in w:
+            raise InvalidInputError(f"{name}.weight has shape {w}; every layer dimension must be >= 1")
         if fan_in is not None and w[1] != fan_in:
             raise InvalidInputError(f"{name}.weight has shape {w}, expected (out, {fan_in})")
         if b != w[:1]:
@@ -131,6 +134,8 @@ def _check_chain(shapes: tuple) -> None:
         fan_in = w[0]
     if len(shapes[-1]) != 2 or shapes[-1][1] != fan_in:
         raise InvalidInputError(f"classifier has shape {shapes[-1]}, expected (num_classes, {fan_in})")
+    if shapes[-1][0] == 0:
+        raise InvalidInputError(f"classifier has shape {shapes[-1]}; every layer dimension must be >= 1")
 
 
 NetworkParams = ParamTree

@@ -18,17 +18,17 @@ scaffolding.full_pass: the network runs on 1,024-row blocks and only
 the normalized features and probabilities are kept, so the refresh's
 memory follows what it keeps, not a block's backward cache. When the
 last iteration refreshed, the end of the run scores and harvests from
-that pass; otherwise it makes one more that keeps only probabilities.
+that pass's probabilities; otherwise it makes one more pass.
 Step (2) first swaps each class's strong entry for a sample drawn from
 that class's peer donors. Only multi-target part 3 has donors, one
 scaffolding._donor_table of stacked rows per run; each iteration draws
 every class's donor row with one scaffolding._draw_donors call, and a
 run without donors (table None) makes none.
 
-The trainers validate domains and config once, at their boundary; see
-_adaptation_run for what the loop then leaves unchecked. Each run is a
-scaffolding.TrainingRun whose step is (1), and runs whole, its end
-included, inside the run's one scaffolding.named_faults boundary.
+The trainers validate domains and config once, in _check_domains at
+their boundary; _adaptation_run says what the loop leaves unchecked.
+Each run is a scaffolding.TrainingRun whose step is (1), and runs whole,
+its end included, inside the run's one scaffolding.named_faults boundary.
 """
 
 from __future__ import annotations
@@ -92,18 +92,8 @@ class RunMetrics:
     final_accuracy: float | None  # None when the target carries no labels
 
 
-def _warn_if_no_strong_set(config: ExperimentConfig) -> None:
-    if config.strong_refresh_period >= config.max_iterations:
-        log.warning(
-            "strong_refresh_period %d >= max_iterations %d: no strong set exists before the "
-            "last iteration, so the strong-weak loss L_SW never runs",
-            config.strong_refresh_period,
-            config.max_iterations,
-        )
-
-
 def _check_domains(config: ExperimentConfig, source: Domain, targets: list) -> None:
-    """Reject a source or target an adaptation run cannot train on."""
+    """Reject a source or target an adaptation run cannot train on; then warn if L_SW would never run."""
     check_source_classes(source, config.network.num_classes)
     for target in targets:
         if target.n == 0:
@@ -112,6 +102,13 @@ def _check_domains(config: ExperimentConfig, source: Domain, targets: list) -> N
             raise InvalidInputError(f"source and target {target.name!r} dimensionality differ")
         if target.labels is not None:
             check_label_range(target, config.network.num_classes)
+    if config.strong_refresh_period >= config.max_iterations:
+        log.warning(
+            "strong_refresh_period %d >= max_iterations %d: no strong set exists before the "
+            "last iteration, so the strong-weak loss L_SW never runs",
+            config.strong_refresh_period,
+            config.max_iterations,
+        )
 
 
 @serial_blas()
@@ -214,7 +211,7 @@ def _adaptation_run(
                 metrics.accuracy_series.append(acc)
 
         if full is None:  # the parameters moved since the last refresh
-            full = full_pass(params, target.samples, features=False)[1]
+            full = full_pass(params, target.samples)[1]
         if target.labels is not None:
             metrics.final_accuracy = accuracy(full, target.labels)
         pseudo = harvest_pseudo_strong(target.samples, full, w.lam)
@@ -233,7 +230,6 @@ def train_single_target(config: ExperimentConfig, source: Domain, target: Domain
     pseudo strong pools), the pools as harvest_pseudo_strong's per-class
     row matrices."""
     _check_domains(config, source, [target])
-    _warn_if_no_strong_set(config)
     return _adaptation_run(config, source, target, None, f"target {target.name!r}")
 
 
@@ -360,7 +356,6 @@ def train_multi_target(
     if not targets:
         raise InvalidInputError("need at least one target domain")
     _check_domains(config, source, targets)
-    _warn_if_no_strong_set(config)
 
     cfg_src = replace(config, seed=derive_seed(config.seed, _TAG_PART2))
     source_params = train_source_only(cfg_src, source)

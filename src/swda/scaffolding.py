@@ -3,7 +3,7 @@ distance graph between domain centroids, the two peer criteria, and
 strong-set replacement from qualifying peer domains. Both trainers use
 the rest: TrainingRun, every run's state and source step; named_faults,
 the one fault boundary of a run or a whole-domain pass; full_pass, that
-pass in row blocks; and accuracy.
+pass in row blocks, always (features, probabilities); and accuracy.
 
 The distance graph is a (N+1) x (N+1) x k tensor of cosine distances
 between per-class centroids, computed once from a source-only network and
@@ -94,13 +94,12 @@ def evaluate(params: NetworkParams, domain: Domain) -> float:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels to evaluate against")
     if domain.n == 0:
         raise InvalidDatasetError(f"domain {domain.name!r} is empty")
-    return accuracy(full_pass(params, domain.samples, features=False)[1], domain.labels)
+    return accuracy(full_pass(params, domain.samples)[1], domain.labels)
 
 
-def full_pass(params: NetworkParams, samples: Array, features: bool = True) -> tuple:
+def full_pass(params: NetworkParams, samples: Array) -> tuple:
     """(normalized features, probabilities) of every row of samples, from
-    one forward call per BLOCK_ROWS-row block; with features=False only the
-    probabilities are kept, and None stands for the features. A pass's
+    one forward call per block of at most BLOCK_ROWS rows. A pass's
     backward cache dies with its block, and each row's outputs depend on
     that row alone, so the arrays are those of one forward over all rows,
     bit for bit. Samples that fit one block get that pass's own arrays."""
@@ -108,14 +107,16 @@ def full_pass(params: NetworkParams, samples: Array, features: bool = True) -> t
     n = samples.shape[0]
     if n <= BLOCK_ROWS:
         fwd = forward(params, samples)
-        return (fwd.norm_features if features else None), fwd.probs
-    V = np.empty((n, params.bottleneck.weight.shape[0])) if features else None
+        return fwd.norm_features, fwd.probs
+    V = np.empty((n, params.bottleneck.weight.shape[0]))
     P = np.empty((n, params.classifier.shape[0]))
-    for lo in range(0, n, BLOCK_ROWS):
-        fwd = forward(params, samples[lo : lo + BLOCK_ROWS])
-        P[lo : lo + BLOCK_ROWS] = fwd.probs
-        if features:
-            V[lo : lo + BLOCK_ROWS] = fwd.norm_features
+    starts = list(range(0, n, BLOCK_ROWS))
+    if n - starts[-1] == 1:  # a one-row product takes BLAS's gemv, which rounds unlike gemm
+        starts[-1] -= 1
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        fwd = forward(params, samples[lo:hi])
+        P[lo:hi] = fwd.probs
+        V[lo:hi] = fwd.norm_features
         del fwd  # before the next block's pass allocates
     return V, P
 
@@ -221,27 +222,21 @@ def train_source_only(config: ExperimentConfig, source: Domain) -> NetworkParams
     return best_params
 
 
-def compute_domain_centroids(params: NetworkParams, samples) -> tuple:
-    """Probability-weighted class centroids of one domain's normalized
-    features. Returns (centroids (k, d), valid (k,) mask); a class with zero
-    total probability mass is marked invalid instead of raising."""
-    V, P = full_pass(params, samples)
-    valid = column_fsums(P) != 0.0
-    # each centroid row depends only on its own probability column
-    C = np.zeros((P.shape[1], V.shape[1]))
-    C[valid] = compute_centroids(P[:, valid], V)
-    return C, valid
-
-
 def centroids_for_domains(params: NetworkParams, domains: list) -> DomainCentroids:
-    """Each domain's compute_domain_centroids, inside named_faults for that
-    domain: a failure of its pass names the domain, as in training."""
+    """Each domain's probability-weighted class centroids, from one
+    full_pass inside named_faults for that domain: a failure names the
+    domain. A class with zero probability mass gets an invalid zero centroid."""
     cents, masks = [], []
     for dom in domains:
         if dom.n == 0:
             raise InvalidDatasetError(f"domain {dom.name!r} is empty")
         with named_faults(f"domain {dom.name!r}"):
-            C, valid = compute_domain_centroids(params, dom.samples)
+            V, P = full_pass(params, dom.samples)
+            valid = column_fsums(P) != 0.0
+            # each centroid row depends only on its own probability column
+            C = np.zeros((P.shape[1], V.shape[1]))
+            C[valid] = compute_centroids(P[:, valid], V)
+            del V, P  # before the next domain's pass allocates
         for j in np.flatnonzero(~valid):
             log.warning("domain %r: class %d has zero probability mass; centroid marked unusable", dom.name, j)
         cents.append(C)

@@ -950,6 +950,30 @@ def test_checkpoint_with_unused_keys_exit_2(tmp_path, capsys):
     assert "checkpoint is missing key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, leaf",
+    [
+        ({"classifier": (0, 2)}, "classifier has shape (0, 2)"),
+        ({"bottleneck.weight": (0, 3), "bottleneck.bias": (0,), "classifier": (3, 0)}, "bottleneck.weight has shape (0, 3)"),
+        ({"generator.0.weight": (0, 4), "generator.0.bias": (0,), "bottleneck.weight": (2, 0)}, "generator.0.weight has shape (0, 4)"),
+    ],
+    ids=["no-classes", "zero-wide-bottleneck", "zero-wide-hidden-layer"],
+)
+@pytest.mark.parametrize("command", ["distance-graph", "report"])
+def test_checkpoint_with_a_zero_size_layer_exit_2(tmp_path, capsys, command, edit, leaf):
+    # each layer chains, but NetworkConfig forbids its dimensions; the load
+    # used to pass it on, to an unexpected ValueError, a numerical failure
+    # or a written graph
+    argv = _scatter_report_argv(tmp_path, "summary.txt", checkpoint="bad.txt")
+    arrays = ckpt.params_to_arrays(ckpt.load_params(tmp_path / "flat.txt"))
+    arrays.update((key, np.zeros(shape)) for key, shape in edit.items())
+    ckpt.save_arrays(tmp_path / "bad.txt", arrays)
+    rc = run_distance_graph(tmp_path, tmp_path / "bad.txt") if command == "distance-graph" else main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {leaf}; every layer dimension must be >= 1\n"
+    assert not any((tmp_path / name).exists() for name in ("graph.txt", "summary.txt", "scatter.svg"))
+
+
 # --- fuzzed checkpoints ---------------------------------------------------------
 # Each example edits the key lines (name, kind, dimensions) and value tokens
 # of a valid checkpoint, or repeats one of its lines, then maybe truncates it
@@ -973,9 +997,19 @@ def fuzzed_checkpoint(draw, text: str) -> bytes:
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(1, len(lines) - 1))
         parts = lines[i].split(" ")
-        op = draw(st.sampled_from(["set", "set", "drop", "add", "repeat"]))
+        op = draw(st.sampled_from(["set", "set", "drop", "add", "repeat", "empty"]))
         if op == "repeat":  # a duplicate key, or one block too many values
             lines.insert(draw(st.integers(1, len(lines))), lines[i])
+            continue
+        if op == "empty":  # a block that stays consistent: one dimension 0, and no value lines
+            starts = [n for n, line in enumerate(lines) if line.startswith("key ")]
+            if not starts:
+                continue
+            k = draw(st.sampled_from(starts))
+            parts = lines[k].split(" ")
+            j = draw(st.integers(3, max(3, len(parts) - 1)))  # a scalar's key line ends in " "
+            parts[j : j + 1] = ["0"]
+            lines[k : next((n for n in starts if n > k), len(lines))] = [" ".join(parts)]
             continue
         key = parts[0] == "key"
         j = draw(st.integers(int(key), len(parts) - 1))
@@ -1482,6 +1516,74 @@ def test_output_naming_an_input_exit_2_before_any_input(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.endswith(": named by an input and an output\n") and err.count("\n") == 1 and "unexpected" not in err
     assert Path(victim).read_bytes() == before
+
+
+_TRAIN_SINGLE = ["train-single", "--config", "config.json", "--source", "source.csv", "--target", "target.csv"]
+_TRAIN_MULTI = ["train-multi", "--config", "config.json", "--source", "source.csv", "--targets", "target.csv"]
+_GENERATE = ["generate", "--spec", "spec.json"]
+# per case: the command line, the link to make as (path, what it links to,
+# hard), and the error, {t} standing for the test directory
+_OUTPUT_LANDING_CASES = {
+    "train-single-out-dangling": (
+        [*_TRAIN_SINGLE, "--out", "link"], ("link", "missing", False), "link: link is a dangling symbolic link"
+    ),
+    "train-multi-out-dangling": (
+        [*_TRAIN_MULTI, "--out", "link"], ("link", "missing", False), "link: link is a dangling symbolic link"
+    ),
+    "train-multi-run-dir-dangling": (
+        [*_TRAIN_MULTI, "--out", "out"], ("out/target", "missing", False), "out/target: out/target is a dangling symbolic link"
+    ),
+    "generate-out-dangling": ([*_GENERATE, "--out", "link"], ("link", "missing", False), "link: link is a dangling symbolic link"),
+    "train-single-file-into-missing-dir": (
+        [*_TRAIN_SINGLE, "--out", "out"], ("out/metrics.json", "missing/m.json", False), "out/metrics.json: no directory {t}/missing"
+    ),
+    "generate-file-into-missing-dir": (
+        [*_GENERATE, "--out", "out"], ("out/manifest.json", "missing/m.json", False), "out/manifest.json: no directory {t}/missing"
+    ),
+    "report-file-into-missing-dir": (
+        ["report", "--runs", "runs", "--out", "summary.txt"], ("summary.txt", "missing/s.txt", False),
+        "summary.txt: no directory {t}/missing",
+    ),
+    "train-single-hard-link-to-source": (
+        [*_TRAIN_SINGLE, "--out", "out"], ("out/metrics.json", "source.csv", True), "out/metrics.json: named by an input and an output"
+    ),
+    "generate-hard-link-to-spec": (
+        [*_GENERATE, "--out", "out"], ("out/manifest.json", "spec.json", True), "out/manifest.json: named by an input and an output"
+    ),
+    "report-hard-link-to-a-run": (
+        ["report", "--runs", "runs", "--out", "summary.txt"], ("summary.txt", "runs/r0/metrics.json", True),
+        "summary.txt: named by an input and an output",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUT_LANDING_CASES))
+def test_output_judged_by_the_file_it_lands_on_exit_2_before_any_input(tmp_path, capsys, monkeypatch, case):
+    # each used to read its inputs, and train or generate, and only then
+    # fail to write, or exit 0 having replaced the input it links to
+    argv, (link, to, hard), want = _OUTPUT_LANDING_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write_dataset(tmp_path)
+    write_config(tmp_path)
+    Path("spec.json").write_text(json.dumps({"num_classes": 2, "input_dim": 2, "samples_per_class": 3, "transforms": [{}]}))
+    Path("runs/r0").mkdir(parents=True)
+    Path("runs/r0/metrics.json").write_text(json.dumps({"final_accuracy": 0.5}))
+    Path(link).parent.mkdir(exist_ok=True)
+    if hard:
+        os.link(to, link)
+    else:
+        Path(link).symlink_to(tmp_path / to)
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    calls = []
+    for holder, name in (
+        (cli, "_load_json"), (cli, "load_csv"), (cli, "generate"), (cli, "train_single_target"), (cli, "train_multi_target"),
+    ):
+        real = getattr(holder, name)
+        monkeypatch.setattr(holder, name, lambda *args, real=real, name=name, **kwargs: calls.append(name) or real(*args, **kwargs))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {want.format(t=tmp_path)}\n"
+    assert calls == []
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 def test_train_multi_names_each_run_by_its_part(tmp_path, capsys, caplog, monkeypatch):
