@@ -54,15 +54,16 @@ from .pipeline import (
 from .scaffolding import (
     build_distance_graph,
     centroids_for_domains,
+    check_source_classes,
     format_distance_report,
     full_pass,
     named_faults,
 )
 
 # flat config keys: the fields of NetworkConfig and LossWeights and the
-# scalar fields of ExperimentConfig. input_dim and num_classes may be
-# omitted: they are inferred from the source CSV.
-_NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig)}
+# scalar fields of ExperimentConfig, less input_dim and num_classes, which
+# the source CSV sets
+_NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig) if f.default is not MISSING}
 _WEIGHT_KEYS = {f.name: f for f in fields(LossWeights)}
 _EXPERIMENT_KEYS = {f.name: f for f in fields(ExperimentConfig) if f.name not in ("network", "weights")}
 KNOWN_CONFIG_KEYS = {**_NETWORK_KEYS, **_WEIGHT_KEYS, **_EXPERIMENT_KEYS}
@@ -84,9 +85,8 @@ def _load_json(path) -> dict:
 
 def _config_epilog() -> str:
     lines = ["config file keys (flat JSON object; all optional):"]
-    for key, f in KNOWN_CONFIG_KEYS.items():
-        note = "inferred from data" if f.default is MISSING else json.dumps(f.default)
-        lines.append(f"  {key} (default: {note})")
+    lines += [f"  {key} (default: {json.dumps(f.default)})" for key, f in KNOWN_CONFIG_KEYS.items()]
+    lines.append("the input width and class count come from the source CSV: its width, and its largest label + 1")
     return "\n".join(lines)
 
 
@@ -111,11 +111,10 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
 
 def _load_run(args) -> tuple:
     """(config file dict, labeled source, ExperimentConfig) of a training
-    command. input_dim comes from the source, num_classes from the file or
-    else the source's largest label. A ConfigError rejects a key outside
-    KNOWN_CONFIG_KEYS, a file input_dim or num_classes that is neither an
-    integer nor null, a file input_dim other than the source's, and any
-    value the config dataclasses reject (wrong type or out of range)."""
+    command. input_dim is the source's width and num_classes its largest
+    label + 1, and the source must hold every class below that. A
+    ConfigError rejects a key outside KNOWN_CONFIG_KEYS and any value the
+    config dataclasses reject (wrong type or out of range)."""
     cfg = _load_json(args.config)
     unknown = sorted(set(cfg) - set(KNOWN_CONFIG_KEYS))
     if unknown:
@@ -123,18 +122,11 @@ def _load_run(args) -> tuple:
     source = load_csv(args.source)
     if source.labels is None:
         raise InvalidDatasetError(f"{args.source}: source domain must be labeled")
-    input_dim, num_classes = source.samples.shape[1], cfg.get("num_classes")
-    if num_classes is None:
-        num_classes = int(source.labels.max()) + 1
-    for key in ("input_dim", "num_classes"):
-        value = cfg.get(key)
-        if value is not None and type(value) is not int:
-            raise ConfigError(f"config {key} must be an integer or null, got {json.dumps(value)}")
-        if key == "input_dim" and value not in (None, input_dim):
-            raise ConfigError(f"config input_dim={value} conflicts with data ({input_dim})")
+    input_dim, num_classes = source.samples.shape[1], int(source.labels.max()) + 1
+    check_source_classes(source, num_classes)
     net, weights, rest = ({k: cfg[k] for k in keys if k in cfg} for keys in (_NETWORK_KEYS, _WEIGHT_KEYS, _EXPERIMENT_KEYS))
     try:
-        network = NetworkConfig(**{**net, "input_dim": input_dim, "num_classes": num_classes})
+        network = NetworkConfig(input_dim, num_classes, **net)
         config = ExperimentConfig(network=network, weights=LossWeights(**weights), **rest)
     except InvalidInputError as exc:
         raise ConfigError(f"config: {exc}") from exc

@@ -80,7 +80,8 @@ def check_source_classes(domain: Domain, num_classes: int) -> None:
     check_label_range(domain, num_classes)
     present = set(domain.labels.tolist())
     # every label lies in [0, num_classes), so this counts the absent classes
-    # without listing them all: a config file's num_classes can be huge
+    # without listing them all: num_classes, the largest source label + 1 or
+    # an API caller's NetworkConfig, can be huge
     absent = num_classes - len(present)
     if absent:
         missing = list(itertools.islice((c for c in range(num_classes) if c not in present), 10))

@@ -234,7 +234,8 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
-def test_config_data_conflict_exit_2(tmp_path):
+def test_config_input_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
+    # the source CSV sets the input width; the file cannot name one
     write_dataset(tmp_path)
     cfg_path, _ = write_config(tmp_path, extra={"input_dim": 5})
     rc = main(
@@ -251,6 +252,7 @@ def test_config_data_conflict_exit_2(tmp_path):
         ]
     )
     assert rc == 2
+    assert "unknown config keys ['input_dim']" in capsys.readouterr().err
 
 
 def test_unlabeled_source_exit_2(tmp_path):
@@ -406,7 +408,6 @@ def run_train_single(tmp_path, cfg_path):
         ("lam", '"0.5"', "lam must be a finite number"),
         ("lam", "NaN", "lam must be a finite number"),
         ("k1", "false", "k1 must be a finite number"),
-        ("num_classes", '"3"', "num_classes must be an integer or null"),
         # a 401-digit integer has no float64: a config error, not a
         # numerical failure once training uses it
         *(
@@ -443,7 +444,7 @@ FUZZ_VALUES = st.one_of(
     st.lists(st.one_of(st.integers(-2, 8), st.sampled_from([_HUGE, 2.5, "16", True])), max_size=3),
     st.dictionaries(st.sampled_from(["a", "tau"]), st.integers(0, 3), max_size=1),
 )
-FUZZ_KEYS = st.sampled_from(sorted(cli.KNOWN_CONFIG_KEYS) + ["num_runs", ""])
+FUZZ_KEYS = st.sampled_from(sorted(cli.KNOWN_CONFIG_KEYS) + ["num_runs", "input_dim", "num_classes", ""])
 
 
 @st.composite
@@ -672,16 +673,22 @@ def test_refresh_period_not_shorter_than_run_warns(tmp_path, caplog, iterations,
     assert any(sw) != warns
 
 
-def test_num_runs_config_key_exit_2(tmp_path, capsys):
+def test_num_runs_config_key_exit_2(tmp_path, capsys, monkeypatch):
     # repeated runs are train-single with different seeds, aggregated by
-    # report; the other keys were single-valued options, now constants, and
-    # source-only pretraining runs max_iterations
+    # report; the other keys were single-valued options, now constants,
+    # source-only pretraining runs max_iterations, and the source CSV sets
+    # input_dim and num_classes. The file is refused before any CSV is read
     write_dataset(tmp_path)
-    for key in ("num_runs", "schedule_a", "schedule_b", "source_eval_period", "pseudo_pool_cap", "source_iterations"):
-        cfg_path, _ = write_config(tmp_path, extra={key: 3})
+    calls = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: calls.append(args))
+    retired = ("num_runs", "schedule_a", "schedule_b", "source_eval_period", "pseudo_pool_cap", "source_iterations")
+    cases = [(key, 3) for key in retired] + [(key, value) for key in ("input_dim", "num_classes") for value in (3, None)]
+    for key, value in cases:
+        cfg_path, _ = write_config(tmp_path, extra={key: value})
         assert run_train_single(tmp_path, cfg_path) == 2
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("extra", [{"tau": 1e308}, {"k1": 1e300}], ids=["tau", "k1"])
@@ -699,24 +706,44 @@ def test_diverging_run_exit_3(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize(
-    "label, num_classes, message",
+    "label, message",
     [
-        ("-1", None, "line 6: negative label -1"),
-        ("9", 3, "has labels [9] outside [0, 3)"),
-        ("99999999999999999999999", None, "line 6: label 99999999999999999999999 does not fit in int64"),
+        ("-1", "line 6: negative label -1"),
+        ("9", "domain 'source' is missing classes [3, 4, 5, 6, 7, 8]\n"),
+        # the class count is the largest label + 1: a huge label is a source
+        # that lacks nearly every class, not a config value out of range
+        ("999999999999999999", "domain 'source' is missing classes [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and "
+         "999999999999999986 more\n"),
+        ("99999999999999999999999", "line 6: label 99999999999999999999999 does not fit in int64"),
     ],
-    ids=["negative", "outside-num-classes", "outside-int64"],
+    ids=["negative", "skips-classes", "huge", "outside-int64"],
 )
-def test_bad_source_label_exit_2(tmp_path, capsys, label, num_classes, message):
+def test_bad_source_label_exit_2(tmp_path, capsys, label, message):
     # caught where the data is loaded, not when a batch first draws the row
     write_dataset(tmp_path)
     lines = (tmp_path / "source.csv").read_text().splitlines()
     lines[5] = label + "," + lines[5].split(",", 1)[1]
     (tmp_path / "source.csv").write_text("\n".join(lines) + "\n")
-    cfg_path, _ = write_config(tmp_path, extra={"num_classes": num_classes})
+    cfg_path, _ = write_config(tmp_path)
     assert run_train_single(tmp_path, cfg_path) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err and "config:" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_multi_source_that_skips_a_class_exit_2_before_any_target_is_read(tmp_path, capsys, monkeypatch):
+    write_dataset(tmp_path)
+    lines = (tmp_path / "source.csv").read_text().splitlines()
+    lines[5] = "4," + lines[5].split(",", 1)[1]
+    (tmp_path / "source.csv").write_text("\n".join(lines) + "\n")
+    cfg_path, _ = write_config(tmp_path)
+    read = []
+    monkeypatch.setattr(cli, "load_csv", lambda path, load=cli.load_csv: read.append(Path(path).name) or load(path))
+    argv = ["train-multi", "--config", str(cfg_path), "--source", str(tmp_path / "source.csv"), "--targets",
+            str(tmp_path / "target.csv"), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: domain 'source' is missing classes [3]\n"
+    assert read == ["source.csv"]
     assert not (tmp_path / "run").exists()
 
 

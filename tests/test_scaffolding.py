@@ -55,7 +55,7 @@ def test_check_source_classes():
 
 
 def test_check_source_classes_names_a_few_of_many_missing_classes():
-    # a config file's num_classes may be absurd; the check must not list them all
+    # a huge source label makes the class count absurd; the check must not list them all
     dom = Domain("s", np.zeros((4, 2)), labels=[0, 0, 2, 2])
     with pytest.raises(InvalidDatasetError, match=r"missing classes \[1\]$"):
         check_source_classes(dom, 3)
