@@ -119,18 +119,22 @@ def _load_run(args) -> tuple:
     unknown = sorted(set(cfg) - set(KNOWN_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys {unknown}")
+    _experiment_config(cfg, 1, 1)  # a 1-wide, 1-class network checks every value before any CSV is read
     source = load_csv(args.source)
     if source.labels is None:
         raise InvalidDatasetError(f"{args.source}: source domain must be labeled")
     input_dim, num_classes = source.samples.shape[1], int(source.labels.max()) + 1
     check_source_classes(source, num_classes)
+    return cfg, source, _experiment_config(cfg, input_dim, num_classes)
+
+
+def _experiment_config(cfg: dict, input_dim: int, num_classes: int) -> ExperimentConfig:
     net, weights, rest = ({k: cfg[k] for k in keys if k in cfg} for keys in (_NETWORK_KEYS, _WEIGHT_KEYS, _EXPERIMENT_KEYS))
     try:
         network = NetworkConfig(input_dim, num_classes, **net)
-        config = ExperimentConfig(network=network, weights=LossWeights(**weights), **rest)
+        return ExperimentConfig(network=network, weights=LossWeights(**weights), **rest)
     except InvalidInputError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return cfg, source, config
 
 
 def _config_echo(cfg: dict, config: ExperimentConfig, source: Domain, target: Domain) -> dict:

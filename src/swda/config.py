@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .losses import LossWeights
-from .mathutils import check_fields
+from .mathutils import bounded, check_fields
 from .network import NetworkConfig
 
 # stream tags
@@ -37,28 +37,16 @@ def derive_seed(seed: int, *tags: int) -> int:
 class ExperimentConfig:
     network: NetworkConfig
     weights: LossWeights = field(default_factory=LossWeights)
-    batch_size: int = 48
-    max_iterations: int = 1000
-    strong_refresh_period: int = 200
-    eta0_head: float = 0.01  # bottleneck + classifier
-    eta0_generator: float = 0.001
-    seed: int = 0
-    accuracy_eval_period: int = 100
+    batch_size: int = bounded(48, low=1)
+    max_iterations: int = bounded(1000, low=1)
+    strong_refresh_period: int = bounded(200, low=1)
+    eta0_head: float = bounded(0.01, low=0, strict=True)  # bottleneck + classifier
+    eta0_generator: float = bounded(0.001, low=0, strict=True)
+    seed: int = bounded(0, low=0)
+    accuracy_eval_period: int = bounded(100, low=1)
 
     def __post_init__(self):
         check_fields(self)
-        if self.batch_size < 1:
-            raise InvalidInputError("batch_size must be >= 1")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
-        if self.strong_refresh_period < 1:
-            raise InvalidInputError("strong_refresh_period must be >= 1")
-        if min(self.eta0_head, self.eta0_generator) <= 0.0:
-            raise InvalidInputError("learning rates must be positive")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
-        if self.accuracy_eval_period < 1:
-            raise InvalidInputError("accuracy_eval_period must be >= 1")
 
 
 class BatchSampler:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, check_fields
+from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, bounded, check_fields
 
 CIRCLE_RADIUS = 4.0
 
@@ -49,13 +49,11 @@ class Domain:
 class DomainTransform:
     rotation_deg: float = 0.0
     translation: tuple = ()  # empty means zero shift
-    noise_scale: float = 1.0
+    noise_scale: float = bounded(1.0, low=0)
     class_skew: tuple = ()  # empty means no per-class scaling
 
     def __post_init__(self):
         check_fields(self)
-        if self.noise_scale < 0.0:
-            raise InvalidInputError("noise_scale must be >= 0")
         self.translation = tuple(self.translation)
         self.class_skew = tuple(self.class_skew)
 
@@ -65,24 +63,16 @@ IDENTITY = DomainTransform()
 
 @dataclass
 class SyntheticSpec:
-    num_classes: int = 6
-    input_dim: int = 8
-    samples_per_class: int = 120
+    num_classes: int = bounded(6, low=2)
+    input_dim: int = bounded(8, low=2)  # rotations act on dims 0 and 1
+    samples_per_class: int = bounded(120, low=1)
     transforms: list = field(default_factory=lambda: [IDENTITY])
-    seed: int = 0
+    seed: int = bounded(0, low=0)
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_classes < 2:
-            raise InvalidInputError("need at least 2 classes")
-        if self.input_dim < 2:
-            raise InvalidInputError("rotation needs input_dim >= 2")
-        if self.samples_per_class < 1:
-            raise InvalidInputError("need at least 1 sample per class")
         if not self.transforms:
             raise InvalidInputError("need at least one domain transform")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
         # generate() fills (k, m, d) and (d, d) arrays; counted in Python ints, as
         # NetworkConfig counts, either one too large blames the largest size
         sizes = {f: getattr(self, f) for f in ("num_classes", "samples_per_class", "input_dim")}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mathutils import Array, as_float_array, check_fields
+from .mathutils import Array, as_float_array, bounded, check_fields
 
 PROB_FLOOR = 1e-12
 
@@ -36,15 +36,13 @@ class LossOutput:
 
 @dataclass
 class LossWeights:
-    k1: float = 0.1
-    k2: float = 0.05
-    k3: float = 1.0
+    k1: float = bounded(0.1, low=0)
+    k2: float = bounded(0.05, low=0)
+    k3: float = bounded(1.0, low=0)
     lam: float = 0.8
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.k1, self.k2, self.k3) < 0.0:
-            raise InvalidInputError("loss weights k1, k2, k3 must be non-negative")
         # lam=1.0 admitted so the weak-set gate can be switched off entirely
         if not 0.0 < self.lam <= 1.0:
             raise InvalidInputError(f"threshold lam={self.lam} outside (0, 1]")

@@ -70,13 +70,23 @@ _FIELD_RULES = {
 }
 
 
+def bounded(default=dataclasses.MISSING, *, low, strict=False):
+    """A dataclass field whose value check_fields requires to be >= low (> low if strict)."""
+    return dataclasses.field(default=default, metadata={"bound": (low, strict)})
+
+
 def check_fields(obj) -> None:
     """Raise InvalidInputError unless each field of the dataclass ``obj`` holds
-    a value its annotation accepts; numpy scalars do, and a bool is no number."""
+    a value its annotation accepts (numpy scalars do; a bool is no number) and
+    then its bound, if bounded: ``<field> must be >= <low>, got <value>``."""
     for f in dataclasses.fields(obj):
         name, accepts = _FIELD_RULES.get(f.type, (None, None))
-        if accepts is not None and not accepts(value := getattr(obj, f.name)):
+        value = getattr(obj, f.name)
+        if accepts is not None and not accepts(value):
             raise InvalidInputError(f"{f.name} must be {name}, got {value!r}")
+        low, strict = f.metadata.get("bound", (None, False))
+        if low is not None and (value <= low if strict else value < low):
+            raise InvalidInputError(f"{f.name} must be {'>' if strict else '>='} {low}, got {value}")
 
 
 def softmax(logits) -> Array:

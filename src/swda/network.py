@@ -20,25 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, check_fields, softmax_of_finite
+from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, bounded, check_fields, softmax_of_finite
 
 MOMENTUM = 0.9  # sgd_step's velocity decay
 
 
 @dataclass
 class NetworkConfig:
-    input_dim: int
-    num_classes: int
+    input_dim: int = bounded(low=1)
+    num_classes: int = bounded(low=1)
     generator_hidden_dims: tuple[int, ...] = (64,)
-    bottleneck_dim: int = 32
-    tau: float = 20.0
+    bottleneck_dim: int = bounded(32, low=1)
+    tau: float = bounded(20.0, low=0, strict=True)
 
     def __post_init__(self):
         check_fields(self)
         self.generator_hidden_dims = tuple(self.generator_hidden_dims)
         dims = (self.input_dim, self.num_classes, self.bottleneck_dim, *self.generator_hidden_dims)
-        if any(d < 1 for d in dims):
-            raise InvalidInputError("all network dimensions must be >= 1")
         # numpy caps an array at intp-max bytes; counted in Python ints, which
         # do not overflow, so no width reaches numpy's own size errors
         widths = (self.input_dim, *self.generator_hidden_dims, self.bottleneck_dim)
@@ -50,8 +48,6 @@ class NetworkConfig:
                 f"{name} is too large: the network would have more than the "
                 f"{MAX_FLOAT64_ENTRIES} parameters a float64 array can hold"
             )
-        if self.tau <= 0.0:
-            raise InvalidInputError("tau must be positive")
 
 
 @dataclass

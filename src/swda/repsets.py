@@ -43,6 +43,8 @@ import numpy as np
 from .errors import DegenerateInputError, EmptyClassError, InvalidInputError, NotInitializedError
 from .mathutils import Array, as_float_array, column_fsums, cosine_distances, row_norms
 
+POOL_CAP = 16  # rows per class in a pseudo strong pool
+
 
 @dataclass
 class StrongEntry:
@@ -207,7 +209,7 @@ def _confident(P: Array, lam: float, top=None) -> Array:
     """The confident samples of an (n, k) probability matrix, as an (n, k)
     matrix: entry [i, c] is P[i, c] when c is row i's argmax (ties to the
     lowest class) and P[i, c] > lam, and -inf everywhere else. The weak set
-    takes each column's best row, the pseudo strong pools its best cap.
+    takes each column's best row, the pseudo strong pools its best POOL_CAP.
     top, when given, is P.argmax(1), computed already by the caller."""
     top = P.argmax(1) if top is None else top
     top_p = P[np.arange(P.shape[0]), top]
@@ -297,14 +299,12 @@ def select_sw_batch(fused: list, pred_labels) -> FusedBatch:
     return FusedBatch(inputs, np.array(kept, dtype=np.int64))
 
 
-def harvest_pseudo_strong(inputs, probs, lam: float, cap: int = 16) -> list:
-    """The pseudo strong pools: per class, an (m, d) matrix of the up-to-cap
+def harvest_pseudo_strong(inputs, probs, lam: float) -> list:
+    """The pseudo strong pools: per class, an (m, d) matrix of the up-to-POOL_CAP
     highest-probability rows of inputs whose argmax lands on the class with
     probability above lam, best first; m is 0 for a class with none."""
     X, P = _check_pair(inputs, probs, "inputs", "probs")
-    if cap < 1:
-        raise InvalidInputError("cap must be >= 1")
     M = _confident(P, lam)
-    ranked = np.argsort(-M, axis=0, kind="stable")[:cap]  # stable: equal probabilities keep row order
+    ranked = np.argsort(-M, axis=0, kind="stable")[:POOL_CAP]  # stable: equal probabilities keep row order
     counts = (M > -np.inf).sum(0)
     return [X[ranked[:m, c]] for c, m in enumerate(counts)]

@@ -104,6 +104,10 @@ def test_generate_unknown_spec_key_exit_2(tmp_path, capsys):
         ({"transforms": [{"rotation_deg": "x"}]}, "rotation_deg"),
         ({"input_dim": 2, "transforms": [{"translation": ["a", 0.0]}]}, "translation"),
         ({"seed": -1, "transforms": [{}]}, "seed"),
+        ({"samples_per_class": 0, "transforms": [{}]}, "samples_per_class must be >= 1, got 0"),
+        ({"transforms": []}, "non-empty 'transforms' list"),
+        ({"transforms": [1]}, "transforms[0] must be an object"),
+        ({"transforms": [{}, {"banana": 1}]}, "transforms[1]: unknown keys ['banana']"),
     ],
 )
 def test_generate_spec_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, doc, key):
@@ -689,6 +693,18 @@ def test_num_runs_config_key_exit_2(tmp_path, capsys, monkeypatch):
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
     assert calls == []
+
+
+def test_config_value_past_its_bound_exit_2_before_any_csv_is_read(tmp_path, capsys, monkeypatch):
+    # the message names the key and the value, and every value is checked
+    # before the source is parsed
+    write_dataset(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: calls.append(args))
+    cfg_path, _ = write_config(tmp_path, extra={"eta0_generator": 0})
+    assert run_train_single(tmp_path, cfg_path) == 2
+    assert capsys.readouterr().err == "error: config: eta0_generator must be > 0, got 0\n"
+    assert calls == [] and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("extra", [{"tau": 1e308}, {"k1": 1e300}], ids=["tau", "k1"])

@@ -1,5 +1,8 @@
 """Config validation, seed-stream independence and batch sampling."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,7 @@ def test_invalid_config_rejected(kw):
         lambda: SyntheticSpec(seed=-1),
         lambda: DomainTransform(rotation_deg="x"),
         lambda: DomainTransform(translation=("a",)),
+        lambda: SyntheticSpec(transforms=[]),
     ],
     ids=[
         "tau-nan",
@@ -76,6 +80,7 @@ def test_invalid_config_rejected(kw):
         "spec-seed-negative",
         "rotation-str",
         "translation-str",
+        "spec-no-transforms",
     ],
 )
 def test_dataclass_field_of_wrong_type_or_range_rejected(make):
@@ -83,6 +88,39 @@ def test_dataclass_field_of_wrong_type_or_range_rejected(make):
     # same rules as the CLI and nothing is silently coerced
     with pytest.raises(InvalidInputError):
         make()
+
+
+BOUNDED_FIELDS = [
+    (cls, f)
+    for cls in (NetworkConfig, LossWeights, ExperimentConfig, DomainTransform, SyntheticSpec)
+    for f in dataclasses.fields(cls)
+    if "bound" in f.metadata
+]
+
+
+def with_field(cls, name, value):
+    if cls is ExperimentConfig:
+        return small_config(**{name: value})
+    if cls is NetworkConfig:
+        return NetworkConfig(**{"input_dim": 4, "num_classes": 3, name: value})
+    return cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, f", BOUNDED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in BOUNDED_FIELDS])
+def test_every_bounded_field_rejects_the_value_past_its_bound(cls, f):
+    # found through dataclasses.fields, so a field given a bound later is
+    # covered here too; the least value inside the bound is accepted
+    low, strict = f.metadata["bound"]
+    kind = {"int": int, "float": float}[f.type]
+    past, inside = kind(low), kind(low)
+    if strict:
+        inside = low + 1 if kind is int else math.nextafter(low, math.inf)
+    else:
+        past = low - 1 if kind is int else math.nextafter(low, -math.inf)
+    with pytest.raises(InvalidInputError) as err:
+        with_field(cls, f.name, past)
+    assert str(err.value) == f"{f.name} must be {'>' if strict else '>='} {low}, got {past}"
+    assert getattr(with_field(cls, f.name, inside), f.name) == inside
 
 
 def test_numpy_scalars_accepted():

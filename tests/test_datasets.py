@@ -219,6 +219,7 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
         ("label,f0,f1\n0,1.0,nan\n", 2, "nan feature"),
         ("label,f0,f1\n0,1.0,2.0\n\n1,-inf,4.0\n", 4, "-inf feature after a blank line"),
         ("label,f0\n0,1.0\n1,1e999\n", 3, "overflow to inf"),
+        ("label\n0\n", 1, "header has no feature columns"),
     ]
     for text, line, why in cases:
         p = tmp_path / "case.csv"

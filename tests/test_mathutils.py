@@ -54,6 +54,11 @@ def test_softmax_rejects_non_finite():
         softmax(np.array([[1.0, np.nan]]))
 
 
+def test_softmax_rejects_empty_input():
+    with pytest.raises(InvalidInputError, match="empty"):
+        softmax(np.zeros((0, 3)))
+
+
 def test_exact_norm_matches_fsum():
     rng = np.random.default_rng(4)
     # one block, and three blocks of BLOCK_ROWS rows, the last one short

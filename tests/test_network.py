@@ -189,10 +189,12 @@ def test_forward_probabilities_equal_the_max_reduction_softmax(tau):
 
 def test_backward_matches_finite_differences_cross_entropy():
     # moderate tau keeps the softmax away from saturation so central
-    # differences stay well conditioned; backward() is tau-generic code
-    cfg = NetworkConfig(input_dim=4, generator_hidden_dims=(8,), bottleneck_dim=6, num_classes=3, tau=2.0)
+    # differences stay well conditioned; backward() is tau-generic code.
+    # Two hidden layers carry the gradient from one generator layer down
+    # to the next.
     rng = np.random.default_rng(42)
-    for seed in range(5):
+    for hidden, seed in [((8,), s) for s in range(5)] + [((5, 4), s) for s in range(3)]:
+        cfg = NetworkConfig(input_dim=4, generator_hidden_dims=hidden, bottleneck_dim=6, num_classes=3, tau=2.0)
         params = init_params(cfg, seed)
         x = rng.normal(size=(6, 4))
         y = rng.integers(0, 3, size=6)
@@ -204,7 +206,7 @@ def test_backward_matches_finite_differences_cross_entropy():
         fwd = forward(params, x)
         grads = backward(params, fwd, cross_entropy(fwd.probs, y).grad_wrt_logits)
         numeric = finite_diff_gradient(loss_at, params.flat)
-        assert grad_check(grads.flat, numeric), f"seed {seed}"
+        assert grad_check(grads.flat, numeric), f"hidden {hidden}, seed {seed}"
 
 
 def test_backward_shape_mismatch():

@@ -21,7 +21,7 @@ from swda.config import ExperimentConfig
 from swda.datasets import IDENTITY, Domain, DomainTransform, SyntheticSpec, generate
 from swda.errors import InvalidDatasetError, InvalidInputError
 from swda.losses import LossWeights
-from swda.network import ForwardResult, NetworkConfig
+from swda.network import ForwardResult, NetworkConfig, init_params
 from swda.pipeline import (
     evaluate,
     loss_curves_csv,
@@ -106,6 +106,12 @@ def test_unlabeled_target_skips_accuracy():
     assert metrics.accuracy_series == []
     with pytest.raises(InvalidDatasetError):
         evaluate(params, blind)
+
+
+def test_evaluate_rejects_an_empty_domain():
+    params = init_params(NetworkConfig(4, 3), 0)
+    with pytest.raises(InvalidDatasetError, match="'empty' is empty"):
+        evaluate(params, Domain("empty", np.zeros((0, 4)), np.zeros(0, dtype=np.int64)))
 
 
 def test_im_loss_bounded_and_ends_negative():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,11 @@ def test_centroids_zero_mass_class_raises():
 def test_centroids_row_mismatch():
     with pytest.raises(InvalidInputError):
         compute_centroids(np.ones((3, 2)), np.ones((4, 2)))
+
+
+def test_centroids_need_a_sample():
+    with pytest.raises(InvalidInputError, match="at least one sample"):
+        compute_centroids(np.ones((0, 2)), np.ones((0, 3)))
 
 
 # --- pseudo-label assignment --------------------------------------------------
@@ -178,6 +185,11 @@ def test_non_finite_norm_is_degenerate(bad):
 def test_empty_centroid_matrix_rejected():
     with pytest.raises(InvalidInputError):
         assign_pseudo_labels(np.ones((3, 2)), np.ones((0, 2)))
+
+
+def test_centroid_dimension_mismatch_rejected():
+    with pytest.raises(InvalidInputError, match="feature dim 2 != centroid dim 3"):
+        assign_pseudo_labels(np.ones((3, 2)), np.ones((2, 3)))
 
 
 # --- certified nearest search: near-tie cases ---------------------------------
@@ -321,6 +333,14 @@ def test_fuse_requires_populated_strong_set():
         fuse(StrongSet([]), WeakSet([]), np.random.default_rng(0))
 
 
+def test_weak_set_and_fuse_reject_a_class_count_mismatch():
+    X, P = np.ones((2, 2)), np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(InvalidInputError, match="weak set has 2 classes, probs has 3"):
+        update_weak_set(empty_weak_set(2), X, P, 0.5)
+    with pytest.raises(InvalidInputError, match="disagree on class count"):
+        fuse(_strong_of([[0.0, 0.0], [1.0, 1.0]]), empty_weak_set(3), np.random.default_rng(0))
+
+
 def test_fuse_convexity_and_missing_entries():
     rng = np.random.default_rng(16)
     strong = _strong_of([[0.0, 0.0], None, [2.0, 2.0]])
@@ -437,26 +457,26 @@ def test_select_sw_batch_rejects_bad_labels():
 # --- pseudo strong pools ------------------------------------------------------
 
 def test_harvest_orders_by_probability_and_caps():
-    X = np.arange(10)[:, None].astype(float)
-    P = np.column_stack([np.linspace(0.81, 0.99, 10), 1.0 - np.linspace(0.81, 0.99, 10)])
-    pools = harvest_pseudo_strong(X, P, lam=0.8, cap=3)
-    assert [int(v[0]) for v in pools[0]] == [9, 8, 7]
+    # 20 confident rows, more than the 16 a pool holds
+    assert repsets.POOL_CAP == 16
+    X = np.arange(20)[:, None].astype(float)
+    P = np.column_stack([np.linspace(0.81, 0.99, 20), 1.0 - np.linspace(0.81, 0.99, 20)])
+    pools = harvest_pseudo_strong(X, P, lam=0.8)
+    assert [int(v[0]) for v in pools[0]] == list(range(19, 3, -1))
     assert pools[1].shape == (0, 1)
 
 
-def test_harvest_threshold_strict_and_cap_validation():
+def test_harvest_threshold_is_strict():
     X = np.zeros((1, 2))
     P = np.array([[0.8, 0.2]])
     assert harvest_pseudo_strong(X, P, lam=0.8)[0].shape == (0, 2)
-    with pytest.raises(InvalidInputError):
-        harvest_pseudo_strong(X, P, lam=0.8, cap=0)
 
 
 def test_harvest_tie_stability():
-    X = np.arange(4)[:, None].astype(float)
-    P = np.array([[0.9, 0.1]] * 4)
-    pools = harvest_pseudo_strong(X, P, lam=0.8, cap=2)
-    assert [int(v[0]) for v in pools[0]] == [0, 1]  # stable sort keeps input order
+    X = np.arange(20)[:, None].astype(float)
+    P = np.array([[0.9, 0.1]] * 20)
+    pools = harvest_pseudo_strong(X, P, lam=0.8)
+    assert [int(v[0]) for v in pools[0]] == list(range(16))  # stable sort keeps input order
 
 
 def plain_ranking(P, lam):
@@ -488,7 +508,8 @@ def test_weak_set_and_harvest_share_one_ranking(seed, n, k, lam, cap):
     X = np.arange(n, dtype=float)[:, None]
     want = plain_ranking(P, lam)
     weak = update_weak_set(empty_weak_set(k), X, P, lam)
-    pools = harvest_pseudo_strong(X, P, lam, cap)
+    with mock.patch.object(repsets, "POOL_CAP", cap):
+        pools = harvest_pseudo_strong(X, P, lam)
     for j in range(k):
         assert [int(v[0]) for v in pools[j]] == want[j][:cap]
         if want[j]:

@@ -340,6 +340,9 @@ def test_peer_criteria_index_validation():
         peer_qualifies(G, 1, 1, 0)
     with pytest.raises(InvalidInputError):
         peer_qualifies(G, 2, 1, 5)
+    for i in (0, 3):
+        with pytest.raises(InvalidInputError, match=f"got i={i}"):
+            qualifying_fraction(G, i)
 
 
 def test_peer_criteria_invalid_entry_disqualifies():
