@@ -95,8 +95,8 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
     if unknown:
         raise ConfigError(f"unknown spec keys {unknown}")
     transforms = doc.get("transforms")
-    if not isinstance(transforms, list) or not transforms:
-        raise ConfigError("spec needs a non-empty 'transforms' list")
+    if not isinstance(transforms, list):
+        raise ConfigError("spec needs a 'transforms' list")
     for i, t in enumerate(transforms):
         if not isinstance(t, dict):
             raise ConfigError(f"transforms[{i}] must be an object")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidDatasetError, InvalidInputError, ParseError
 from .mathutils import MAX_FLOAT64_ENTRIES, Array, as_float_array, bounded, check_fields
 
 CIRCLE_RADIUS = 4.0
@@ -31,14 +31,19 @@ CIRCLE_RADIUS = 4.0
 class Domain:
     name: str
     samples: Array  # (n, input_dim)
-    labels: Array | None = None  # (n,) int64 or None
+    labels: Array | None = None  # (n,) int64 or None; any integer dtype int64 holds, cast without a copy if int64
 
     def __post_init__(self):
         self.samples = as_float_array(self.samples, ndim=2)
+        if self.n == 0:
+            raise InvalidDatasetError(f"domain {self.name!r} is empty")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.samples.shape[0],):
-                raise InvalidInputError("label count does not match sample count")
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu" or not np.can_cast(labels.dtype, np.int64):
+                raise InvalidInputError(f"domain {self.name!r}: labels must be integers that fit int64, got {labels.dtype}")
+            self.labels = labels.astype(np.int64, copy=False)
+            if self.labels.shape != (self.n,):
+                raise InvalidInputError(f"domain {self.name!r}: label count does not match sample count")
 
     @property
     def n(self) -> int:

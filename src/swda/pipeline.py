@@ -51,7 +51,7 @@ from .config import (
     stream_rng,
 )
 from .datasets import Domain
-from .errors import InvalidDatasetError, InvalidInputError
+from .errors import InvalidInputError
 from .losses import _adversarial_logit, _info_max, _strong_weak
 from .mathutils import serial_blas
 from .network import NetworkParams, backward, forward, sgd_step
@@ -94,12 +94,11 @@ class RunMetrics:
 
 def _check_domains(config: ExperimentConfig, source: Domain, targets: list) -> None:
     """Reject a source or target an adaptation run cannot train on; then warn if L_SW would never run."""
+    for dom in [source, *targets]:
+        if (width := dom.samples.shape[1]) != config.network.input_dim:
+            raise InvalidInputError(f"domain {dom.name!r} has {width} columns; the network takes {config.network.input_dim}")
     check_source_classes(source, config.network.num_classes)
     for target in targets:
-        if target.n == 0:
-            raise InvalidDatasetError(f"target domain {target.name!r} is empty")
-        if target.samples.shape[1] != source.samples.shape[1]:
-            raise InvalidInputError(f"source and target {target.name!r} dimensionality differ")
         if target.labels is not None:
             check_label_range(target, config.network.num_classes)
     if config.strong_refresh_period >= config.max_iterations:
@@ -198,8 +197,9 @@ def _adaptation_run(
             # (7) periodic strong refresh over the whole target
             full = None  # probabilities of this iteration's full-target pass
             if (it + 1) % config.strong_refresh_period == 0:
-                strong, full = _refresh(params, target)
-                S = np.array([e.x for e in strong.entries])
+                features, full = full_pass(params, target.samples)
+                S = np.array([e.x for e in update_strong_set(target.samples, features, full, target.name).entries])
+                del features
 
             metrics.loss_ce.append(ce)
             metrics.loss_im.append(im)
@@ -216,13 +216,6 @@ def _adaptation_run(
             metrics.final_accuracy = accuracy(full, target.labels)
         pseudo = harvest_pseudo_strong(target.samples, full, w.lam)
     return params, metrics, pseudo
-
-
-def _refresh(params: NetworkParams, target: Domain):
-    """(strong set, probabilities) from one full_pass over the whole target:
-    only its normalized features and probabilities reach the refresh."""
-    features, probs = full_pass(params, target.samples)
-    return update_strong_set(target.samples, features, probs, target.name), probs
 
 
 def train_single_target(config: ExperimentConfig, source: Domain, target: Domain):

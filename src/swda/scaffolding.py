@@ -93,8 +93,6 @@ def evaluate(params: NetworkParams, domain: Domain) -> float:
     """Fraction of samples whose argmax probability hits the label."""
     if domain.labels is None:
         raise InvalidDatasetError(f"domain {domain.name!r} has no labels to evaluate against")
-    if domain.n == 0:
-        raise InvalidDatasetError(f"domain {domain.name!r} is empty")
     return accuracy(full_pass(params, domain.samples)[1], domain.labels)
 
 
@@ -229,8 +227,6 @@ def centroids_for_domains(params: NetworkParams, domains: list) -> DomainCentroi
     domain. A class with zero probability mass gets an invalid zero centroid."""
     cents, masks = [], []
     for dom in domains:
-        if dom.n == 0:
-            raise InvalidDatasetError(f"domain {dom.name!r} is empty")
         with named_faults(f"domain {dom.name!r}"):
             V, P = full_pass(params, dom.samples)
             valid = column_fsums(P) != 0.0

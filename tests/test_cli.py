@@ -105,9 +105,10 @@ def test_generate_unknown_spec_key_exit_2(tmp_path, capsys):
         ({"input_dim": 2, "transforms": [{"translation": ["a", 0.0]}]}, "translation"),
         ({"seed": -1, "transforms": [{}]}, "seed"),
         ({"samples_per_class": 0, "transforms": [{}]}, "samples_per_class must be >= 1, got 0"),
-        ({"transforms": []}, "non-empty 'transforms' list"),
+        ({"transforms": []}, "spec: need at least one domain transform"),
         ({"transforms": [1]}, "transforms[0] must be an object"),
         ({"transforms": [{}, {"banana": 1}]}, "transforms[1]: unknown keys ['banana']"),
+        ({"transforms": {}}, "spec needs a 'transforms' list"),
     ],
 )
 def test_generate_spec_value_of_wrong_type_or_range_exit_2(tmp_path, capsys, doc, key):
@@ -1924,7 +1925,7 @@ def test_train_multi_jobs_below_one_exit_2(tmp_path, capsys):
     "edit, message",
     [
         (lambda line: re.sub(r"^\d+,", "7,", line), "domain 'bad' has labels [7] outside [0, 3)"),
-        (lambda line: line.rsplit(",", 1)[0], "source and target 'bad' dimensionality differ"),
+        (lambda line: line.rsplit(",", 1)[0], "domain 'bad' has 3 columns; the network takes 4"),
     ],
     ids=["label-range", "width"],
 )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,15 +20,54 @@ from swda.datasets import (
     standard_between_spec,
     standard_shift_spec,
 )
-from swda.errors import InvalidInputError, ParseError
+from swda.errors import InvalidDatasetError, InvalidInputError, ParseError
+
+NOT_INTEGERS = (InvalidInputError, "domain 't': labels must be integers that fit int64")
 
 
-def test_domain_validation():
-    with pytest.raises(InvalidInputError):
-        Domain("bad", np.zeros((3, 2)), labels=np.array([0, 1]))
-    dom = Domain("ok", np.zeros((3, 2)), labels=[0, 1, 0])
-    assert dom.n == 3
-    assert dom.labels.dtype == np.int64
+@pytest.mark.parametrize(
+    "name, rows, labels, rejected",
+    [
+        ("empty", 0, None, (InvalidDatasetError, "domain 'empty' is empty")),
+        ("empty", 0, np.zeros(0, dtype=np.int64), (InvalidDatasetError, "domain 'empty' is empty")),
+        ("t", 3, [0.0, 1.5, 2.9], NOT_INTEGERS),
+        ("t", 3, [True, False, True], NOT_INTEGERS),
+        ("t", 3, ["0", "1", "0"], NOT_INTEGERS),
+        ("t", 3, [0.0, float("nan"), 1.0], NOT_INTEGERS),
+        ("t", 3, np.array([0, 2, 1], dtype=np.uint64), NOT_INTEGERS),
+        ("t", 3, np.array([0, 1]), (InvalidInputError, "domain 't': label count does not match sample count")),
+        ("t", 3, [0, 2, 1], None),
+        ("t", 3, np.array([0, 2, 1], dtype=np.int32), None),
+        ("t", 3, np.array([0, 2, 1], dtype=np.uint8), None),
+        ("t", 3, np.array([0, 2, 1], dtype=np.int64), None),
+    ],
+    ids=[
+        "empty",
+        "empty-labeled",
+        "float",
+        "bool",
+        "string",
+        "nan",
+        "uint64",
+        "label-count",
+        "int-list",
+        "int32",
+        "uint8",
+        "int64",
+    ],
+)
+def test_domain_validation(name, rows, labels, rejected):
+    # every domain has a row, and a labeled one an integer label per row:
+    # nothing is truncated, and int64 labels are kept without a copy
+    samples = np.zeros((rows, 2))
+    if rejected:
+        error, message = rejected
+        with pytest.raises(error, match=re.escape(message)):
+            Domain(name, samples, labels)
+        return
+    dom = Domain(name, samples, labels)
+    assert dom.n == 3 and dom.labels.dtype == np.int64 and dom.labels.tolist() == [0, 2, 1]
+    assert (dom.labels is labels) == (isinstance(labels, np.ndarray) and labels.dtype == np.int64)
 
 
 def test_spec_validation():

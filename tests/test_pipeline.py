@@ -19,9 +19,9 @@ from oracles import adaptation_run as oracle_adaptation_run
 from swda import mathutils, pipeline, scaffolding
 from swda.config import ExperimentConfig
 from swda.datasets import IDENTITY, Domain, DomainTransform, SyntheticSpec, generate
-from swda.errors import InvalidDatasetError, InvalidInputError
+from swda.errors import DegenerateInputError, InvalidDatasetError, InvalidInputError
 from swda.losses import LossWeights
-from swda.network import ForwardResult, NetworkConfig, init_params
+from swda.network import ForwardResult, NetworkConfig
 from swda.pipeline import (
     evaluate,
     loss_curves_csv,
@@ -108,12 +108,6 @@ def test_unlabeled_target_skips_accuracy():
         evaluate(params, blind)
 
 
-def test_evaluate_rejects_an_empty_domain():
-    params = init_params(NetworkConfig(4, 3), 0)
-    with pytest.raises(InvalidDatasetError, match="'empty' is empty"):
-        evaluate(params, Domain("empty", np.zeros((0, 4)), np.zeros(0, dtype=np.int64)))
-
-
 def test_im_loss_bounded_and_ends_negative():
     # the uniformity objective lives in [-log k, log k]; once predictions
     # sharpen with balanced marginals it settles below zero
@@ -132,12 +126,36 @@ def test_identical_domains_high_accuracy():
 
 def test_empty_or_mismatched_target_rejected():
     source, target = tiny_problem()
-    empty = Domain("t", np.zeros((0, 4)))
-    with pytest.raises(InvalidDatasetError):
-        train_single_target(tiny_config(), source, empty)
+    with pytest.raises(InvalidDatasetError, match="domain 't' is empty"):
+        train_single_target(tiny_config(), source, Domain("t", np.zeros((0, 4))))
     narrow = Domain("t", target.samples[:, :3])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="domain 't' has 3 columns; the network takes 4"):
         train_single_target(tiny_config(), source, narrow)
+
+
+@pytest.mark.parametrize("wide", ["source", "target1"])
+@pytest.mark.parametrize("multi", [False, True], ids=["single", "multi"])
+def test_domain_wider_than_the_network_rejected_before_any_step(monkeypatch, multi, wide):
+    # the source's width is checked against the network as each target's is,
+    # so a wide source is blamed before a step runs, not at a target run's
+    # first step
+    steps = []
+    step = scaffolding.TrainingRun.step
+
+    def counting(run, q):
+        steps.append(run.name)
+        return step(run, q)
+
+    monkeypatch.setattr(scaffolding.TrainingRun, "step", counting)
+    source, target = (
+        replace(d, samples=np.hstack([d.samples, np.zeros((d.n, 4))])) if d.name == wide else d for d in tiny_problem()
+    )
+    with pytest.raises(InvalidInputError, match=f"^domain '{wide}' has 8 columns; the network takes 4$"):
+        if multi:
+            train_multi_target(tiny_config(), source, [target])
+        else:
+            train_single_target(tiny_config(), source, target)
+    assert steps == []
 
 
 def test_target_label_outside_classes_rejected():
@@ -700,8 +718,8 @@ def test_serial_blas_restores_count_when_the_block_raises():
     set_(2)
     try:
         source, target = tiny_problem()
-        with pytest.raises(InvalidDatasetError, match="is empty"):
-            train_single_target(tiny_config(), source, replace(target, samples=target.samples[:0], labels=None))
+        with pytest.raises(DegenerateInputError, match="^target 'target1', iteration 1: overflow encountered in matmul$"):
+            train_single_target(tiny_config(), source, replace(target, samples=np.full_like(target.samples, 1e308)))
         assert get() == 2
         with pytest.raises(InvalidDatasetError, match="missing classes"):
             train_source_only(tiny_config(), replace(source, labels=np.zeros_like(source.labels)))

@@ -190,12 +190,6 @@ def test_full_pass_in_one_block_returns_its_own_arrays(monkeypatch, n):
     assert len(seen) == 1 and V is seen[0].norm_features and P is seen[0].probs
 
 
-def test_centroids_for_domains_rejects_empty():
-    params = init_params(NET, 0)
-    with pytest.raises(InvalidDatasetError):
-        centroids_for_domains(params, [Domain("empty", np.zeros((0, 4)))])
-
-
 def test_zero_mass_warning_names_its_domain(caplog):
     # class 2 scores -100 * tau * cos(feature, e0): beyond exp's underflow for
     # rows along +e0, moderate for rows nearly orthogonal to it
