@@ -105,7 +105,9 @@ def test_generate_unknown_spec_key_exit_2(tmp_path, capsys):
         ({"input_dim": 2, "transforms": [{"translation": ["a", 0.0]}]}, "translation"),
         ({"seed": -1, "transforms": [{}]}, "seed"),
         ({"samples_per_class": 0, "transforms": [{}]}, "samples_per_class must be >= 1, got 0"),
-        ({"transforms": []}, "spec: need at least one domain transform"),
+        pytest.param(
+            {"transforms": []}, "spec: need at least one domain transform", id="doc5-non-empty 'transforms' list"
+        ),
         ({"transforms": [1]}, "transforms[0] must be an object"),
         ({"transforms": [{}, {"banana": 1}]}, "transforms[1]: unknown keys ['banana']"),
         ({"transforms": {}}, "spec needs a 'transforms' list"),
